@@ -92,9 +92,10 @@ type Agent struct {
 	// the cap completes with the empty response — the §4.1.1 degradation,
 	// so a long-poll participant is never worse off than an interval one.
 	MaxPollWait time.Duration
-	// WakeDebounce coalesces document-change wake-ups of parked long-polls:
-	// a burst of host mutations inside the window wakes the fleet at most
-	// twice (once at the leading edge, once after the window with the latest
+	// WakeDebounce coalesces document-change wake-ups of the delivery hub's
+	// subscribers, parked long-polls and persistent channels alike: a burst
+	// of host mutations inside the window wakes the fleet at most twice
+	// (once at the leading edge, once after the window with the latest
 	// version) instead of once per mutation. The trailing wake also
 	// precomputes the deltas the woken fleet is about to request (one diff
 	// per distinct acked base) before fan-out. Zero disables coalescing. Set
@@ -224,14 +225,10 @@ type Agent struct {
 	handoverImported bool
 	handoverDone     bool
 
-	// hub parks long-polls and wakes them on document changes, outbox
-	// enqueues, and disconnects.
+	// hub holds every subscriber — parked long-polls and persistent
+	// channels — and wakes them on document changes, outbox enqueues,
+	// disconnects, and shutdown.
 	hub *deliveryHub
-
-	// chmu guards the persistent-channel registry (channel.go): at most one
-	// framed full-duplex channel per participant, keyed by pid.
-	chmu     sync.Mutex
-	channels map[string]*agentChannel
 
 	// builds counts Figure 3 pipeline executions — the observable the
 	// single-flight tests and cache-effectiveness metrics key on.
@@ -246,10 +243,9 @@ type Agent struct {
 	// deltasServed counts polls answered with a deltaContent message.
 	deltasServed atomic.Int64
 
-	// Persistent-channel observables (channel.go): open channels, frames in
-	// each direction, and upgrades refused or channels closed toward the
+	// Persistent-channel observables (channel.go): frames in each
+	// direction, and upgrades refused or channels closed toward the
 	// degradation ladder.
-	channelsOpen     atomic.Int64
 	framesOut        atomic.Int64
 	framesIn         atomic.Int64
 	channelFallbacks atomic.Int64
@@ -428,35 +424,28 @@ func NewAgent(b *browser.Browser, addr string) *Agent {
 		dedup:         make(map[string]*dedupState),
 		buildHist:     make(map[bool][]int64),
 		hub:           newDeliveryHub(),
-		channels:      make(map[string]*agentChannel),
 	}
 	// The trailing edge of a debounced wake runs on its own timer goroutine
 	// with the whole woken fleet in hand — the one place the deltas the
 	// fleet is about to ask for can be computed before fan-out.
 	a.hub.preWake = a.warmWakeDeltas
-	b.OnChange(func() {
-		a.hub.notifyAllDebounced(a.WakeDebounce)
-		// Channel writers coalesce through their cap-1 notify slots, so the
-		// fleet wake needs no debounce of its own.
-		a.notifyAllChannels()
-	})
+	b.OnChange(func() { a.hub.notifyAllDebounced(a.WakeDebounce) })
 	return a
 }
 
-// Close releases the delivery hub and the persistent channels: every parked
-// long-poll completes with the empty response, every open channel receives
-// an AGENT_CLOSING close frame, and later polls answer immediately,
-// interval-style. The agent remains usable afterwards — Close only retires
-// the push channels, typically just before the enclosing httpwire.Server
-// closes.
-func (a *Agent) Close() {
-	a.hub.close()
-	a.closeAllChannels(closeSignal{reason: CloseAgentClosing})
-}
+// Close releases the delivery hub: every parked long-poll completes with
+// the empty response, every open channel receives an AGENT_CLOSING close
+// frame, and later polls answer immediately, interval-style. The agent
+// remains usable afterwards — Close only retires the push subscribers,
+// typically just before the enclosing httpwire.Server closes.
+func (a *Agent) Close() { a.hub.close() }
 
 // ParkedPolls reports how many long-polls are currently parked — the
 // observable fan-out tests and benchmarks synchronize on.
-func (a *Agent) ParkedPolls() int { return a.hub.parkedCount() }
+func (a *Agent) ParkedPolls() int {
+	polls, _ := a.hub.counts()
+	return polls
+}
 
 // WakeFanouts reports how many document-change wake rounds actually woke
 // parked polls — with WakeDebounce set, a burst of M host mutations
@@ -660,7 +649,7 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 	if wait > 0 {
 		if a.ShedLevel() >= ShedInterval {
 			parkRefused = true
-		} else if a.MaxParkedPolls > 0 && a.hub.parkedCount() >= a.MaxParkedPolls {
+		} else if a.MaxParkedPolls > 0 && a.ParkedPolls() >= a.MaxParkedPolls {
 			parkRefused = true
 		}
 		if parkRefused {
@@ -766,35 +755,37 @@ func (a *Agent) servePoll(req *httpwire.Request) *httpwire.Response {
 // response is an empty acknowledgment; document content only ever travels
 // on poll responses.
 func (a *Agent) serveAction(req *httpwire.Request) *httpwire.Response {
-	pid := pidFromRequest(req)
-	var payload string
-	for _, f := range httpwire.ParseForm(string(req.Body)) {
-		switch f.Name {
-		case "actions":
-			payload = f.Value
-		case "pid":
-			if pid == "" {
-				pid = f.Value
-			}
-		}
-	}
-	p := a.participant(pid)
+	f := parseUpstreamForm(req)
+	p := a.participant(f.pid)
 	if p == nil {
-		return a.disconnectedResponse(pid)
+		return a.disconnectedResponse(f.pid)
 	}
-	actions, err := DecodeActions(payload)
-	if err != nil || len(actions) == 0 {
+	if actions, _, err := a.ingest(p, f.actions); err != nil || len(actions) == 0 {
 		return badActionResponse
 	}
-	for _, act := range a.freshActions(actions) {
+	a.actionPushes.Add(1)
+	return actionAckResponse
+}
+
+// ingest merges one upstream action payload from p — step 1 of §4.1.1
+// (data merging), shared by the piggyback, /action and channel upstreams.
+// The replay filter runs first so a retried upstream (push fallback, rejoin
+// re-send, channel retransmit) merges each action once. It returns the
+// decoded batch, duplicates included, and how many actions were merged.
+func (a *Agent) ingest(p *participantState, payload string) (actions []Action, merged int, err error) {
+	actions, err = DecodeActions(payload)
+	if err != nil || len(actions) == 0 {
+		return actions, 0, err
+	}
+	fresh := a.freshActions(actions)
+	for _, act := range fresh {
 		act.From = p.ID
 		a.handleAction(p.ID, act)
 	}
 	p.mu.Lock()
 	p.LastSeen = time.Now()
 	p.mu.Unlock()
-	a.actionPushes.Add(1)
-	return actionAckResponse
+	return actions, len(fresh), nil
 }
 
 // ActionPushes reports how many /action upstream requests were accepted.
@@ -806,57 +797,31 @@ func (a *Agent) ActionPushes() int64 { return a.actionPushes.Load() }
 // (0 = answer immediately), and whether the client opted into deltaContent
 // responses — or a non-nil error response.
 func (a *Agent) pollSetup(req *httpwire.Request) (*participantState, int64, time.Duration, bool, *httpwire.Response) {
-	pid := pidFromRequest(req)
-	fields := httpwire.ParseForm(string(req.Body))
-	var ts, waitMS int64
-	var deltaOK bool
-	var actionPayload string
-	for _, f := range fields {
-		switch f.Name {
-		case "ts":
-			ts, _ = strconv.ParseInt(f.Value, 10, 64)
-		case "actions":
-			actionPayload = f.Value
-		case "wait":
-			waitMS, _ = strconv.ParseInt(f.Value, 10, 64)
-		case "delta":
-			deltaOK = f.Value == "1"
-		case "pid":
-			if pid == "" {
-				pid = f.Value
-			}
-		}
-	}
-	p := a.participant(pid)
+	f := parseUpstreamForm(req)
+	p := a.participant(f.pid)
 	if p == nil {
-		return nil, 0, 0, false, a.disconnectedResponse(pid)
+		return nil, 0, 0, false, a.disconnectedResponse(f.pid)
 	}
 
-	// Step 1: data merging. The replay filter runs first so a retried
-	// upstream (push fallback, rejoin re-send) merges each action once.
-	actions, err := DecodeActions(actionPayload)
+	// Step 1: data merging.
+	_, merged, err := a.ingest(p, f.actions)
 	if err != nil {
 		return nil, 0, 0, false, badActionResponse
-	}
-	actions = a.freshActions(actions)
-	for _, act := range actions {
-		act.From = p.ID
-		a.handleAction(p.ID, act)
 	}
 
 	// Step 2: timestamp inspection. Only this participant's lock is taken;
 	// polls from other participants proceed in parallel.
 	p.mu.Lock()
-	p.LastDocTime = ts
+	p.LastDocTime = f.ts
 	p.LastSeen = time.Now()
 	p.Polls++
 	p.mu.Unlock()
 
-	wait := time.Duration(waitMS) * time.Millisecond
+	wait := time.Duration(f.waitMS) * time.Millisecond
 	if max := a.maxPollWait(); wait > max {
 		wait = max
 	}
-	if len(actions) > 0 {
+	if merged > 0 {
 		// A poll that delivered actions is answered immediately, never
 		// parked: the prompt completion is the client's acknowledgment
 		// that its actions were merged. (Our own snippet already strips
@@ -864,7 +829,39 @@ func (a *Agent) pollSetup(req *httpwire.Request) (*participantState, int64, time
 		// clients that don't.)
 		wait = 0
 	}
-	return p, ts, wait, deltaOK, nil
+	return p, f.ts, wait, f.deltaOK, nil
+}
+
+// upstreamForm is the form body shared by every participant request — a
+// poll, an /action push, a /channel upgrade. Routes ignore the fields they
+// don't use.
+type upstreamForm struct {
+	pid     string // the rcbpid cookie, or the pid field without one
+	ts      int64  // the docTime the participant acknowledges
+	waitMS  int64  // the requested long-poll hang
+	deltaOK bool   // the participant opted into deltaContent
+	actions string // an EncodeActions payload
+}
+
+func parseUpstreamForm(req *httpwire.Request) upstreamForm {
+	f := upstreamForm{pid: pidFromRequest(req)}
+	for _, kv := range httpwire.ParseForm(string(req.Body)) {
+		switch kv.Name {
+		case "ts":
+			f.ts, _ = strconv.ParseInt(kv.Value, 10, 64)
+		case "actions":
+			f.actions = kv.Value
+		case "wait":
+			f.waitMS, _ = strconv.ParseInt(kv.Value, 10, 64)
+		case "delta":
+			f.deltaOK = kv.Value == "1"
+		case "pid":
+			if f.pid == "" {
+				f.pid = kv.Value
+			}
+		}
+	}
+	return f
 }
 
 // deliverOut is one delivery decision from deliver: the payload bytes to
@@ -1103,10 +1100,10 @@ func (a *Agent) DisconnectWith(pid string, reason CloseReason) {
 		}
 		a.logf("rcb-agent: participant %s disconnected: %s", pid, reason)
 	}
-	a.hub.notifyPID(pid)
-	// A live channel learns of the disconnect the same way a parked poll
-	// does: immediately, with the reason on the wire (a close frame here).
-	a.closeChannel(pid, closeSignal{reason: reason})
+	// A parked poll and a live channel learn of the disconnect alike:
+	// woken at once, each finds the participant gone and sends the
+	// recorded reason.
+	a.hub.notifyPID(pid, nil)
 }
 
 // rememberedCloses bounds the disconnect-reason memory.
@@ -1191,8 +1188,8 @@ func (a *Agent) contentForMode(cacheMode bool) (*PreparedContent, error) {
 	a.cmu.Lock()
 	var lagFloor int64
 	if err == nil {
-		if cur := a.prepared[cacheMode]; cur == nil || prep.version >= cur.version {
-			if cur != nil && prep.version > cur.version {
+		if cur := a.prepared[cacheMode]; cur == nil || prep.version > cur.version {
+			if cur != nil {
 				if !a.DisableDelta && a.ShedLevel() < ShedNoDelta {
 					// The replaced build joins the front of the delta-base
 					// ring (newest first), capped at the configured depth;
@@ -1231,6 +1228,12 @@ func (a *Agent) contentForMode(cacheMode bool) (*PreparedContent, error) {
 			if a.MaxAckLag > 0 && len(hist) > a.MaxAckLag {
 				lagFloor = hist[len(hist)-1-a.MaxAckLag]
 			}
+		} else {
+			// A racing build already stored this version or a newer one:
+			// hand out the stored build and drop this one, so each version
+			// is handed out under one docTime and the stored docTime never
+			// moves backwards.
+			prep = cur
 		}
 	}
 	if a.inflight[cacheMode] == call {
@@ -1275,11 +1278,17 @@ func (a *Agent) reapStaleReaders(cacheMode bool, lagFloor int64) {
 // experiment harness can measure M5 (content generation time) directly.
 func (a *Agent) BuildContent(cacheMode bool) (*PreparedContent, error) {
 	a.builds.Add(1)
+	// Version and docTime are stamped as one step, so a build labelled with
+	// a newer version always carries a newer docTime. The version is read
+	// before the document is, so a build's content is never older than its
+	// label.
+	a.tmu.Lock()
 	version := a.Browser.Version()
+	docTime := a.nextDocTimeLocked()
+	a.tmu.Unlock()
 	start := time.Now()
 	var nc *NewContent
 	err := a.Browser.WithDocument(func(pageURL string, doc *dom.Document) error {
-		docTime := a.nextDocTime()
 		nc = generateContent(doc.Root, contentOptions{
 			pageURL:     pageURL,
 			docTime:     docTime,
@@ -1393,12 +1402,12 @@ func (a *Agent) releaseDeltaState() {
 }
 
 // warmWakeDeltas is the delivery hub's preWake hook: it runs on the trailing
-// edge of a debounced wake, after the parked waiters are collected but
-// before fan-out. It gathers the distinct (mode, acked docTime) pairs of the
-// woken waiters and of every attached channel, and computes those deltas
-// once — so a thousand-strong fleet hits a warm cache instead of racing all
-// its polls on the first diff of each pair.
-func (a *Agent) warmWakeDeltas(woken []*pollWaiter) {
+// edge of a debounced wake, after the subscribers are collected but before
+// they are signalled. It gathers the distinct (mode, acked docTime) pairs of
+// the woken parked polls and channels and computes those deltas once — so a
+// thousand-strong fleet hits a warm cache instead of racing all its
+// deliveries on the first diff of each pair.
+func (a *Agent) warmWakeDeltas(woken []subscriber) {
 	if a.DisableDelta || a.ShedLevel() >= ShedNoDelta {
 		return
 	}
@@ -1412,33 +1421,12 @@ func (a *Agent) warmWakeDeltas(woken []*pollWaiter) {
 		base int64
 	}
 	want := make(map[pair]struct{})
-	for _, w := range woken {
-		if !w.deltaOK || w.ts <= 0 {
-			continue
-		}
-		if p := a.participant(w.pid); p != nil {
-			p.mu.Lock()
-			mode := p.CacheMode
-			p.mu.Unlock()
-			want[pair{mode, w.ts}] = struct{}{}
-		}
-	}
-	a.chmu.Lock()
-	chans := make([]*agentChannel, 0, len(a.channels))
-	for _, ch := range a.channels {
-		if ch.deltaOK {
-			chans = append(chans, ch)
-		}
-	}
-	a.chmu.Unlock()
-	for _, ch := range chans {
-		ch.mu.Lock()
-		base := ch.base
-		ch.mu.Unlock()
+	for _, s := range woken {
+		pid, base := s.ackedBase()
 		if base <= 0 {
 			continue
 		}
-		if p := a.participant(ch.pid); p != nil {
+		if p := a.participant(pid); p != nil {
 			p.mu.Lock()
 			mode := p.CacheMode
 			p.mu.Unlock()
@@ -1508,12 +1496,10 @@ func (a *Agent) buildDelta(prev, cur *PreparedContent) *preparedDelta {
 	}
 }
 
-// nextDocTime issues the timestamp for a document version: wall-clock
+// nextDocTimeLocked issues the timestamp for a document version: wall-clock
 // milliseconds (as the paper specifies) made strictly monotonic so rapid
-// successive versions remain distinguishable.
-func (a *Agent) nextDocTime() int64 {
-	a.tmu.Lock()
-	defer a.tmu.Unlock()
+// successive versions remain distinguishable. Callers hold a.tmu.
+func (a *Agent) nextDocTimeLocked() int64 {
 	t := time.Now().UnixMilli()
 	if t <= a.lastDocTime {
 		t = a.lastDocTime + 1
@@ -1737,8 +1723,7 @@ func (a *Agent) Broadcast(act Action) {
 		if d := after - before; d != 0 {
 			a.outboxDepth.Add(int64(d))
 		}
-		a.hub.notifyPID(p.ID)
-		a.notifyChannel(p.ID)
+		a.hub.notifyPID(p.ID, nil)
 	}
 	a.pmu.RUnlock()
 	a.maybeEvalLoad()

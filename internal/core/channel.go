@@ -3,15 +3,16 @@ package core
 // The persistent full-duplex channel: one framed connection replacing the
 // long-poll/push-lane pair. A participant upgrades a normal HMAC-verified
 // POST /channel exchange into a frame stream (httpwire frame codec) and the
-// agent registers the connection with its delivery machinery as a push
-// sink: a build landing fans the shared prepared/delta bytes out to every
-// attached channel the moment it exists — no park/wake counters, no
-// per-update request parse, no per-update HMAC (the connection was
-// authenticated once, at the upgrade). Each channel's acked base picks its
-// delta from the multi-version ring, so channels at different bases share
-// the per-(base, target) encoded bytes rather than assuming one base. Upstream, the same socket carries
-// action frames and acks, retiring the separate /action lane while the
-// channel is up.
+// agent attaches the connection to the delivery hub as a persistent
+// subscriber: every wake that would complete a parked poll nudges the
+// channel's writer instead, which runs the same delivery step and pushes
+// the shared prepared/delta bytes — no park snapshot, no per-update request
+// parse, no per-update HMAC (the connection was authenticated once, at the
+// upgrade). Each channel's acked base picks its delta from the
+// multi-version ring, so channels at different bases share the per-(base,
+// target) encoded bytes rather than assuming one base. Upstream, the same
+// socket carries action frames and acks, retiring the separate /action lane
+// while the channel is up.
 //
 // This file is the server half; the client half (DeliveryDuplex) lives in
 // duplex.go. Both speak the frame schema below.
@@ -127,6 +128,27 @@ func (ch *agentChannel) wake() {
 	}
 }
 
+// signal is the channel's hub wake: a nudge of its writer, or on agent
+// shutdown an AGENT_CLOSING close. A disconnect needs no close of its own:
+// the writer's next pass finds the participant gone and sends the recorded
+// reason.
+func (ch *agentChannel) signal(closing bool) {
+	if closing {
+		ch.requestClose(closeSignal{reason: CloseAgentClosing})
+		return
+	}
+	ch.wake()
+}
+
+func (ch *agentChannel) ackedBase() (string, int64) {
+	if !ch.deltaOK {
+		return ch.pid, 0
+	}
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return ch.pid, ch.base
+}
+
 // shutdown tears the channel down: unblocks both loops and closes the
 // socket. Idempotent, callable from any goroutine.
 func (ch *agentChannel) shutdown() {
@@ -150,7 +172,10 @@ func (ch *agentChannel) requestClose(cs closeSignal) {
 
 // ChannelsOpen reports how many persistent channels are currently attached —
 // the observable duplex tests and benchmarks synchronize on.
-func (a *Agent) ChannelsOpen() int64 { return a.channelsOpen.Load() }
+func (a *Agent) ChannelsOpen() int64 {
+	_, chans := a.hub.counts()
+	return int64(chans)
+}
 
 // FramesOut reports frames written to channels (content, deltas, acks,
 // pongs, closes).
@@ -182,35 +207,18 @@ func (a *Agent) serveChannelUpgrade(req *httpwire.Request) *httpwire.Response {
 		resp.Header.Set(RetryAfterHeader, strconv.FormatInt(a.shedRetryAfter().Milliseconds(), 10))
 		return resp
 	}
-	pid := pidFromRequest(req)
-	var ts int64
-	var deltaOK bool
-	for _, f := range httpwire.ParseForm(string(req.Body)) {
-		switch f.Name {
-		case "ts":
-			ts, _ = strconv.ParseInt(f.Value, 10, 64)
-		case "delta":
-			deltaOK = f.Value == "1"
-		case "pid":
-			if pid == "" {
-				pid = f.Value
-			}
-		}
+	f := parseUpstreamForm(req)
+	if a.participant(f.pid) == nil {
+		return a.disconnectedResponse(f.pid)
 	}
-	p := a.participant(pid)
-	if p == nil {
-		return a.disconnectedResponse(pid)
-	}
-	if deltaOK && a.DisableDelta {
-		deltaOK = false
-	}
+	deltaOK := f.deltaOK && !a.DisableDelta
 	resp := httpwire.NewResponse(101, "", nil)
 	resp.Header.Set("Upgrade", "rcb-channel/1")
 	resp.Header.Set("Connection", "Upgrade")
 	resp.Hijack = func(conn net.Conn, br *bufio.Reader) {
-		a.runChannel(httpwire.NewChannelConn(conn, br), pid, ts, deltaOK)
+		a.runChannel(httpwire.NewChannelConn(conn, br), f.pid, f.ts, deltaOK)
 	}
-	a.logf("rcb-agent: participant %s upgraded to persistent channel", pid)
+	a.logf("rcb-agent: participant %s upgraded to persistent channel", f.pid)
 	return resp
 }
 
@@ -226,8 +234,7 @@ func (a *Agent) runChannel(conn *httpwire.ChannelConn, pid string, ts int64, del
 		done:    make(chan struct{}),
 		base:    ts,
 	}
-	a.registerChannel(ch)
-	a.channelsOpen.Add(1)
+	a.hub.attach(ch)
 	readerDone := make(chan struct{})
 	go func() {
 		defer close(readerDone)
@@ -239,8 +246,7 @@ func (a *Agent) runChannel(conn *httpwire.ChannelConn, pid string, ts int64, del
 	a.channelWriter(ch)
 	ch.shutdown()
 	<-readerDone
-	a.channelsOpen.Add(-1)
-	a.unregisterChannel(ch)
+	a.hub.detach(ch)
 	a.logf("rcb-agent: participant %s channel detached", pid)
 }
 
@@ -275,6 +281,15 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			return false
 		}
 		a.smu.RLock()
+		p := a.participant(ch.pid)
+		if p == nil {
+			// Disconnected: the hub's wake brought the writer here, and the
+			// recorded reason goes out on the close frame.
+			reason := a.closeReasonFor(ch.pid)
+			a.smu.RUnlock()
+			a.writeClose(ch, closeSignal{reason: reason})
+			return false
+		}
 		if a.relocatedTo != "" {
 			// Handover completed under us: tell the client where the session
 			// went over the live channel — the frame analogue of the MOVED
@@ -297,18 +312,11 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			a.writeClose(ch, cs)
 			return false
 		}
-		p := a.participant(ch.pid)
-		if p == nil {
-			reason := a.closeReasonFor(ch.pid)
-			a.smu.RUnlock()
-			a.writeClose(ch, closeSignal{reason: reason})
-			return false
-		}
 		out, err := a.deliver(p, base, ch.deltaOK && base > 0)
 		a.smu.RUnlock()
 		if err != nil {
 			a.logf("rcb-agent: channel %s content generation: %v", ch.pid, err)
-			a.requeueOutbox(ch.pid, out.actions)
+			a.requeueOutbox(ch, out.actions)
 			return true // possibly transient; wait for the next wake
 		}
 		if !out.hasNew {
@@ -323,7 +331,7 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			// outbox: put them back so the participant's recovery poll
 			// delivers them — channel failure may delay an action, never
 			// drop it.
-			a.requeueOutbox(ch.pid, out.actions)
+			a.requeueOutbox(ch, out.actions)
 			return false
 		}
 		a.framesOut.Add(1)
@@ -404,25 +412,15 @@ func (a *Agent) channelActions(ch *agentChannel, payload string) {
 		ch.requestClose(closeSignal{reason: a.closeReasonFor(ch.pid)})
 		return
 	}
-	actions, err := DecodeActions(payload)
-	if err != nil || len(actions) == 0 {
-		a.smu.RUnlock()
+	actions, _, err := a.ingest(p, payload)
+	a.smu.RUnlock()
+	if err != nil {
 		return // malformed upstream: drop the frame, keep the channel
 	}
 	var maxSeq int64
 	for _, act := range actions {
-		if act.CSeq > maxSeq {
-			maxSeq = act.CSeq
-		}
+		maxSeq = max(maxSeq, act.CSeq)
 	}
-	for _, act := range a.freshActions(actions) {
-		act.From = p.ID
-		a.handleAction(p.ID, act)
-	}
-	p.mu.Lock()
-	p.LastSeen = time.Now()
-	p.mu.Unlock()
-	a.smu.RUnlock()
 	if maxSeq > 0 {
 		buf := strconv.AppendInt(make([]byte, 0, 20), maxSeq, 10)
 		if err := ch.conn.WriteFrame(httpwire.Frame{Type: FrameActionAck, Payload: buf}); err == nil {
@@ -452,13 +450,14 @@ func (a *Agent) channelAck(ch *agentChannel, ts int64) {
 }
 
 // requeueOutbox returns drained mirror actions to the front of a
-// participant's outbox after a failed channel write, so the recovery path
-// (fallback poll, reattached channel) still delivers them.
-func (a *Agent) requeueOutbox(pid string, actions []Action) {
+// participant's outbox after a failed channel flush, so the recovery path
+// (fallback poll, reattached channel) still delivers them. The wake skips
+// ch itself: its writer retries on its next wake, not in a loop.
+func (a *Agent) requeueOutbox(ch *agentChannel, actions []Action) {
 	if len(actions) == 0 {
 		return
 	}
-	p := a.participant(pid)
+	p := a.participant(ch.pid)
 	if p == nil {
 		return
 	}
@@ -473,71 +472,5 @@ func (a *Agent) requeueOutbox(pid string, actions []Action) {
 	if d := after - before; d != 0 {
 		a.outboxDepth.Add(int64(d))
 	}
-	a.hub.notifyPID(pid)
-}
-
-// registerChannel installs ch as pid's channel. A newer upgrade replaces an
-// older channel (typically a client re-upgrading after a fallback, its old
-// socket half-dead); the replaced one is torn down silently.
-func (a *Agent) registerChannel(ch *agentChannel) {
-	a.chmu.Lock()
-	old := a.channels[ch.pid]
-	a.channels[ch.pid] = ch
-	a.chmu.Unlock()
-	if old != nil {
-		old.shutdown()
-	}
-}
-
-// unregisterChannel removes ch unless a newer channel already replaced it.
-func (a *Agent) unregisterChannel(ch *agentChannel) {
-	a.chmu.Lock()
-	if a.channels[ch.pid] == ch {
-		delete(a.channels, ch.pid)
-	}
-	a.chmu.Unlock()
-}
-
-// notifyChannel wakes pid's channel writer, if one is attached.
-func (a *Agent) notifyChannel(pid string) {
-	a.chmu.Lock()
-	ch := a.channels[pid]
-	a.chmu.Unlock()
-	if ch != nil {
-		ch.wake()
-	}
-}
-
-// notifyAllChannels wakes every channel writer — the document-change
-// fan-out. Each writer re-reads shared prepared bytes; no per-channel work
-// happens here beyond a non-blocking send.
-func (a *Agent) notifyAllChannels() {
-	a.chmu.Lock()
-	for _, ch := range a.channels {
-		ch.wake()
-	}
-	a.chmu.Unlock()
-}
-
-// closeChannel schedules an orderly close of pid's channel, if attached.
-func (a *Agent) closeChannel(pid string, cs closeSignal) {
-	a.chmu.Lock()
-	ch := a.channels[pid]
-	a.chmu.Unlock()
-	if ch != nil {
-		ch.requestClose(cs)
-	}
-}
-
-// closeAllChannels schedules an orderly close of every attached channel.
-func (a *Agent) closeAllChannels(cs closeSignal) {
-	a.chmu.Lock()
-	chans := make([]*agentChannel, 0, len(a.channels))
-	for _, ch := range a.channels {
-		chans = append(chans, ch)
-	}
-	a.chmu.Unlock()
-	for _, ch := range chans {
-		ch.requestClose(cs)
-	}
+	a.hub.notifyPID(ch.pid, ch)
 }

@@ -302,7 +302,7 @@ func TestChannelDisabledRefusal(t *testing.T) {
 // client falls back to polling and suspends upgrades.
 func TestChannelMeasuredShedClosesChannel(t *testing.T) {
 	w := newWorld(t, func(a *Agent) {
-		// channelsOpen counts toward the parked signal, so one attached
+		// Attached channels count toward the parked signal, so one attached
 		// channel trips the high watermark on the first evaluation.
 		a.Shed = ShedWatermarks{ParkedHigh: 1, ParkedLow: 0}
 	})
@@ -315,7 +315,7 @@ func TestChannelMeasuredShedClosesChannel(t *testing.T) {
 		w.agent.EvaluateLoad()
 	}
 	// The writer checks the ladder on its next wake.
-	w.agent.notifyAllChannels()
+	w.agent.hub.notifyAll()
 	if err := <-done; err != nil {
 		t.Fatalf("shed close must degrade silently, got %v", err)
 	}
@@ -413,4 +413,78 @@ func TestChannelHandoverMoved(t *testing.T) {
 	if st := alice.Stats(); st.Relocates != 1 || st.DuplexUpgrades != 2 {
 		t.Fatalf("relocates=%d upgrades=%d, want 1/2", st.Relocates, st.DuplexUpgrades)
 	}
+}
+
+// TestChannelBurstCoalesced: channels share the hub's burst coalescing. With
+// WakeDebounce set, a burst of paced host edits inside one window reaches an
+// attached channel as at most two content/delta frames — the leading wake
+// and the trailing one — and the channel still ends on the final version.
+func TestChannelBurstCoalesced(t *testing.T) {
+	const window = 600 * time.Millisecond
+	w := newWorld(t, func(a *Agent) { a.WakeDebounce = window })
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	s, _, _ := duplexJoin(t, w, "burst.lan")
+	waitUntil(t, "initial push", func() bool { return s.DocTime() > 0 })
+	// Let the navigation's window lapse so the burst opens a fresh one.
+	time.Sleep(window)
+
+	frames0 := s.Stats().ContentPolls
+	const edits = 6
+	for i := 0; i < edits; i++ {
+		if err := w.host.ApplyMutation(func(doc *dom.Document) error {
+			doc.Body().SetAttr("data-burst", strconv.Itoa(i))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(window / (2 * edits))
+	}
+	final := strconv.Itoa(edits - 1)
+	waitUntil(t, "final version on the channel", func() bool {
+		var attr string
+		_ = s.Browser.WithDocument(func(_ string, doc *dom.Document) error {
+			attr = doc.Body().AttrOr("data-burst", "")
+			return nil
+		})
+		return attr == final
+	})
+	if d := s.Stats().ContentPolls - frames0; d > 2 {
+		t.Errorf("a burst of %d edits sent %d content/delta frames to one channel, want at most 2", edits, d)
+	}
+}
+
+// TestChannelDeliverFailureNoSpin: a channel whose delivery fails puts the
+// drained mirror actions back in the outbox. That requeue wakes the
+// participant's other subscribers but never the failing channel itself, so
+// a persistent failure costs one flush per outside wake, not a hot loop —
+// and the actions still arrive once delivery recovers.
+func TestChannelDeliverFailureNoSpin(t *testing.T) {
+	var failures atomic.Int64
+	w := newWorld(t, func(a *Agent) {
+		a.Logf = func(format string, _ ...any) {
+			if strings.Contains(format, "content generation") {
+				failures.Add(1)
+			}
+		}
+	})
+	url := "http://" + sites.Table1[1].Host() + "/"
+	w.hostNavigate(t, url)
+	s, _, _ := duplexJoin(t, w, "failing.lan")
+	waitUntil(t, "initial push", func() bool { return s.DocTime() > 0 })
+
+	// Unload the host document: the version moves on, every build fails.
+	w.host.SetDocument(url, nil)
+	waitUntil(t, "first failed flush", func() bool { return failures.Load() >= 1 })
+	w.agent.HostAction(Action{Kind: ActionMouseMove, X: 3, Y: 4})
+	waitUntil(t, "second failed flush", func() bool { return failures.Load() >= 2 })
+	time.Sleep(100 * time.Millisecond)
+	if n := failures.Load(); n != 2 {
+		t.Fatalf("two wakes cost %d failed flushes; the requeue is waking its own channel", n)
+	}
+	if d := w.agent.OutboxDepth(); d != 1 {
+		t.Fatalf("outbox depth %d after the failed flush, want the requeued action", d)
+	}
+
+	w.hostNavigate(t, url)
+	waitUntil(t, "requeued action delivered", func() bool { return w.agent.OutboxDepth() == 0 })
 }

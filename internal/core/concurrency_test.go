@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"rcb/internal/dom"
 	"rcb/internal/sites"
@@ -222,5 +223,99 @@ func TestPreparedContentUserActionSplice(t *testing.T) {
 	}
 	if prep.WithUserActions(nil); len(prep.WithUserActions(nil)) != len(base) {
 		t.Error("empty splice must return the shared bytes unchanged")
+	}
+}
+
+// TestRacingBuildsOneDocTimePerVersion races two content builds across a
+// version bump: every docTime handed out must be the stored build or a
+// delta-base ring member, each version must be handed out under one
+// docTime, and the stored docTime must never move backwards. A build that
+// lost such a race and still replaced (or was handed out beside) the stored
+// one would strand its recipients off the delta path.
+//
+// Each round stages the race: racer A reads the version and is held on the
+// cache lock while the host bumps, so A goes on to build the bumped
+// document; the host document lock then holds A's build until racer B has
+// read the bumped version too, found only A's older in-flight call, and
+// started a build of the same version.
+func TestRacingBuildsOneDocTimePerVersion(t *testing.T) {
+	w := newWorld(t, nil)
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	a := w.agent
+	bump := func(attr string) {
+		t.Helper()
+		if err := w.host.ApplyMutation(func(doc *dom.Document) error {
+			doc.Body().SetAttr("data-race", attr)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rounds := 40
+	if testing.Short() {
+		rounds = 15
+	}
+	docTimeOf := make(map[int64]int64) // version → the one docTime handed out
+	var lastDocTime int64
+	for r := 0; r < rounds; r++ {
+		bump(fmt.Sprint("pre", r)) // a version nobody has built yet
+		handed := make(chan *PreparedContent, 2)
+		var wg sync.WaitGroup
+		race := func() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				prep, err := a.contentForMode(false)
+				if err != nil {
+					t.Error(err)
+				}
+				handed <- prep
+			}()
+		}
+		a.cmu.Lock()
+		race() // A
+		time.Sleep(time.Millisecond)
+		bump(fmt.Sprint("race", r))
+		held, release := make(chan struct{}), make(chan struct{})
+		go w.host.WithDocument(func(string, *dom.Document) error {
+			close(held)
+			<-release
+			return nil
+		})
+		<-held
+		a.cmu.Unlock()
+		waitUntil(t, "racer A's build in flight", func() bool {
+			a.cmu.Lock()
+			defer a.cmu.Unlock()
+			return a.inflight[false] != nil
+		})
+		race() // B
+		time.Sleep(time.Millisecond)
+		close(release)
+		wg.Wait()
+		close(handed)
+
+		a.cmu.Lock()
+		cur := a.prepared[false]
+		retained := map[int64]bool{cur.docTime: true}
+		for _, b := range a.prevRing[false] {
+			retained[b.docTime] = true
+		}
+		a.cmu.Unlock()
+		if cur.docTime < lastDocTime {
+			t.Fatalf("round %d: stored docTime moved backwards %d → %d", r, lastDocTime, cur.docTime)
+		}
+		lastDocTime = cur.docTime
+		for prep := range handed {
+			if !retained[prep.docTime] {
+				t.Fatalf("round %d: handed-out docTime %d (version %d) is neither the stored build nor a ring base",
+					r, prep.docTime, prep.version)
+			}
+			if dt, ok := docTimeOf[prep.version]; ok && dt != prep.docTime {
+				t.Fatalf("round %d: version %d handed out under two docTimes, %d and %d", r, prep.version, dt, prep.docTime)
+			}
+			docTimeOf[prep.version] = prep.docTime
+		}
 	}
 }

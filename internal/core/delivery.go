@@ -1,17 +1,20 @@
 package core
 
-// Long-poll delivery: the version-notification hub behind RCB-Agent's
-// hanging-GET channel.
+// The delivery hub: RCB-Agent's one subscriber set, behind both push tiers.
 //
 // The paper's protocol answers every polling request immediately — "if no
 // new content needs to be sent back, RCB-Agent sends a response with empty
 // content ... to avoid hanging requests" (§4.1.1) — which makes the polling
-// interval the staleness floor. The hub inverts that trade: a poll that
-// finds nothing new may park (httpwire.AsyncHandler) until the host
-// document changes, a mirror action lands in the participant's outbox, the
-// participant is disconnected, or a configurable maximum hang elapses —
-// whichever comes first. Timeouts degrade exactly to the paper's empty
-// response, so a long-poll client is never worse off than an interval one.
+// interval the staleness floor. The hub inverts that trade. A participant
+// subscribes in one of two ways: a poll that finds nothing new may park
+// (httpwire.AsyncHandler), or a persistent channel (channel.go) attaches for
+// its lifetime. Either way it is woken when the host document changes, a
+// mirror action lands in the participant's outbox, the participant is
+// disconnected, or the agent closes. A parked poll is one-shot: a wake
+// removes and fulfills it, and its maximum hang degrades exactly to the
+// paper's empty response, so a long-poll client is never worse off than an
+// interval one. A channel stays registered; its wake is a coalescing nudge
+// of its writer, which re-runs the same delivery step.
 //
 // Correctness hinges on closing the check-then-park window: between a
 // poll's "nothing new" check and its registration, a document change or
@@ -19,18 +22,29 @@ package core
 // wake-up. The hub therefore keeps monotonic notification counters (one
 // global, one per participant); a poll snapshots them before its final
 // check and park refuses registration when either counter moved, forcing
-// the caller to re-check.
+// the caller to re-check. A channel needs no snapshot: a wake that lands
+// mid-flush fills its cap-1 notify slot and forces another pass.
 
 import (
 	"sync"
 	"time"
 )
 
+// subscriber is one delivery endpoint in the hub's table: a parked poll
+// (*pollWaiter) or an attached channel (*agentChannel).
+type subscriber interface {
+	// signal wakes the subscriber; closing reports agent shutdown.
+	signal(closing bool)
+	// ackedBase reports the subscriber's participant and the docTime its
+	// next delivery would patch, or base 0 when it takes full snapshots.
+	ackedBase() (pid string, base int64)
+}
+
 // pollWaiter is one parked polling request: the participant it belongs to,
 // the timestamp it reported, and the responder that completes the hanging
-// HTTP exchange. Ownership of the response is decided by hub-map presence:
-// whoever removes the waiter from the hub (notify, timeout, or close) must
-// respond, and nobody else may.
+// HTTP exchange. Ownership of the response is decided by hub-table
+// presence: whoever removes the waiter from the hub (wake, timeout, or
+// close) must respond, and nobody else may.
 type pollWaiter struct {
 	pid     string
 	ts      int64
@@ -40,6 +54,25 @@ type pollWaiter struct {
 	staleOnTimeout bool
 	fulfill        func(reply *pollReply)
 	timer          *time.Timer
+}
+
+// signal fulfills the detached waiter: on its own goroutine for a wake, so
+// the notifier (typically the host browser's mutation path) never blocks
+// on content generation or socket writes; inline on shutdown.
+func (w *pollWaiter) signal(closing bool) {
+	w.timer.Stop()
+	if closing {
+		w.fulfill(&pollReply{closed: true})
+		return
+	}
+	go w.fulfill(&pollReply{})
+}
+
+func (w *pollWaiter) ackedBase() (string, int64) {
+	if !w.deltaOK {
+		return w.pid, 0
+	}
+	return w.pid, w.ts
 }
 
 // pollReply tells a woken waiter why it woke, so the fulfiller can choose
@@ -56,7 +89,13 @@ type hubSnapshot struct {
 	pid    uint64
 }
 
-// deliveryHub tracks parked long-polls and the notification counters that
+// hubEntry is one participant's row in the hub's subscriber table.
+type hubEntry struct {
+	polls []*pollWaiter // one-shot: detached by the wake that reaches them
+	ch    *agentChannel // persistent: stays until its session ends
+}
+
+// deliveryHub tracks every subscriber and the notification counters that
 // close the check-then-park race. All methods are safe for concurrent use.
 type deliveryHub struct {
 	mu     sync.Mutex
@@ -66,30 +105,33 @@ type deliveryHub struct {
 	// kept after disconnect (a few bytes per participant ever seen) so a
 	// racing park cannot mistake a reset counter for "no event".
 	pidSeqs map[string]uint64
-	parked  map[string][]*pollWaiter
-	count   int
+	// subs is the subscriber table, keyed by pid; an entry is dropped once
+	// it holds neither a parked poll nor a channel.
+	subs  map[string]hubEntry
+	polls int // parked polls
+	chans int // attached channels
 
 	// Burst coalescing (notifyAllDebounced): lastWake stamps the most
 	// recent global fan-out; wakeArmed marks a trailing wake already
 	// scheduled on wakeTimer. fanouts counts global wake rounds that woke
-	// at least one waiter — the observable the debounce tests key on.
+	// at least one parked poll — the observable the debounce tests key on.
 	lastWake  time.Time
 	wakeArmed bool
 	wakeTimer *time.Timer
 	fanouts   int64
 
-	// preWake, when set, runs between collecting a trailing wake's waiters
-	// and fanning them out — the window where the deltas the woken fleet is
-	// about to request can be precomputed once. Installed at construction,
-	// never mutated afterwards, so reads need no lock. It runs on the wake
-	// timer's own goroutine, off every request path.
-	preWake func(woken []*pollWaiter)
+	// preWake, when set, runs between collecting a trailing wake's
+	// subscribers and signalling them — the window where the deltas the
+	// woken fleet is about to request can be precomputed once. Installed at
+	// construction, never mutated afterwards, so reads need no lock. It
+	// runs on the wake timer's own goroutine, off every request path.
+	preWake func(woken []subscriber)
 }
 
 func newDeliveryHub() *deliveryHub {
 	return &deliveryHub{
 		pidSeqs: make(map[string]uint64),
-		parked:  make(map[string][]*pollWaiter),
+		subs:    make(map[string]hubEntry),
 	}
 }
 
@@ -114,8 +156,10 @@ func (h *deliveryHub) park(w *pollWaiter, snap hubSnapshot, maxWait time.Duratio
 	if h.global != snap.global || h.pidSeqs[w.pid] != snap.pid {
 		return false, true
 	}
-	h.parked[w.pid] = append(h.parked[w.pid], w)
-	h.count++
+	e := h.subs[w.pid]
+	e.polls = append(e.polls, w)
+	h.subs[w.pid] = e
+	h.polls++
 	// The timeout path claims the waiter through the same remove() token
 	// as every other wake, so a racing notify and timer fire resolve to
 	// exactly one response. AfterFunc's callback cannot run before this
@@ -134,43 +178,77 @@ func (h *deliveryHub) park(w *pollWaiter, snap hubSnapshot, maxWait time.Duratio
 func (h *deliveryHub) remove(w *pollWaiter) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	list := h.parked[w.pid]
-	for i, x := range list {
+	e := h.subs[w.pid]
+	for i, x := range e.polls {
 		if x != w {
 			continue
 		}
-		list[i] = list[len(list)-1]
-		list[len(list)-1] = nil
-		if len(list) == 1 {
-			delete(h.parked, w.pid)
-		} else {
-			h.parked[w.pid] = list[:len(list)-1]
-		}
-		h.count--
+		e.polls[i] = e.polls[len(e.polls)-1]
+		e.polls[len(e.polls)-1] = nil
+		e.polls = e.polls[:len(e.polls)-1]
+		h.polls--
+		h.storeLocked(w.pid, e)
 		return true
 	}
 	return false
 }
 
-// parkedCount reports how many polls are currently parked.
-func (h *deliveryHub) parkedCount() int {
+// attach registers ch as its participant's channel. A newer upgrade
+// replaces an older channel (typically a client re-upgrading after a
+// fallback, its old socket half-dead); the replaced one is torn down
+// silently.
+func (h *deliveryHub) attach(ch *agentChannel) {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
+	e := h.subs[ch.pid]
+	old := e.ch
+	e.ch = ch
+	h.subs[ch.pid] = e
+	if old == nil {
+		h.chans++
+	}
+	h.mu.Unlock()
+	if old != nil {
+		old.shutdown()
+	}
 }
 
-// notifyAll wakes every parked waiter — a new document version exists (or
-// is about to: the waiters' re-check runs the single-flight generation, so
-// N wakes still cost one BuildContent). Each waiter is fulfilled on its own
-// goroutine; the notifier (typically the host browser's mutation path)
-// never blocks on content generation or socket writes.
+// detach unregisters ch unless a newer channel already replaced it.
+func (h *deliveryHub) detach(ch *agentChannel) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if e := h.subs[ch.pid]; e.ch == ch {
+		e.ch = nil
+		h.chans--
+		h.storeLocked(ch.pid, e)
+	}
+}
+
+// storeLocked writes back pid's entry, dropping it once it holds neither a
+// parked poll nor a channel. Callers hold h.mu.
+func (h *deliveryHub) storeLocked(pid string, e hubEntry) {
+	if len(e.polls) == 0 && e.ch == nil {
+		delete(h.subs, pid)
+		return
+	}
+	h.subs[pid] = e
+}
+
+// counts reports how many polls are parked and how many channels attached.
+func (h *deliveryHub) counts() (polls, chans int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.polls, h.chans
+}
+
+// notifyAll wakes every subscriber — a new document version exists (or is
+// about to: woken polls and channel writers re-check through the
+// single-flight generation, so N wakes still cost one BuildContent).
 func (h *deliveryHub) notifyAll() {
 	h.mu.Lock()
 	h.global++
-	h.lastWake = time.Now()
-	woken := h.collectAllLocked()
+	woken := h.roundLocked()
 	h.mu.Unlock()
-	wakeWaiters(woken)
+	signalAll(woken, false)
 }
 
 // notifyAllDebounced is notifyAll with burst coalescing: the first change
@@ -198,10 +276,9 @@ func (h *deliveryHub) notifyAllDebounced(debounce time.Duration) {
 		h.mu.Unlock()
 		return
 	}
-	h.lastWake = time.Now()
-	woken := h.collectAllLocked()
+	woken := h.roundLocked()
 	h.mu.Unlock()
-	wakeWaiters(woken)
+	signalAll(woken, false)
 }
 
 // trailingWake flushes the coalesced tail of a mutation burst. Running on
@@ -214,62 +291,79 @@ func (h *deliveryHub) trailingWake() {
 		h.mu.Unlock()
 		return
 	}
-	h.lastWake = time.Now()
-	woken := h.collectAllLocked()
+	woken := h.roundLocked()
 	h.mu.Unlock()
 	if h.preWake != nil && len(woken) > 0 {
 		h.preWake(woken)
 	}
-	wakeWaiters(woken)
+	signalAll(woken, false)
 }
 
-// collectAllLocked detaches every parked waiter and counts the fan-out.
-// Callers hold h.mu.
-func (h *deliveryHub) collectAllLocked() []*pollWaiter {
-	var woken []*pollWaiter
-	for pid, list := range h.parked {
-		woken = append(woken, list...)
-		delete(h.parked, pid)
-	}
-	h.count = 0
-	if len(woken) > 0 {
+// roundLocked starts one global wake round, counting it as a fan-out when
+// it reaches a parked poll. Callers hold h.mu.
+func (h *deliveryHub) roundLocked() []subscriber {
+	h.lastWake = time.Now()
+	if h.polls > 0 {
 		h.fanouts++
 	}
+	return h.collectAllLocked()
+}
+
+// collectAllLocked detaches every parked poll and lists them with every
+// attached channel. Callers hold h.mu.
+func (h *deliveryHub) collectAllLocked() []subscriber {
+	woken := make([]subscriber, 0, h.polls+h.chans)
+	for pid, e := range h.subs {
+		for _, w := range e.polls {
+			woken = append(woken, w)
+		}
+		if e.ch != nil {
+			woken = append(woken, e.ch)
+		}
+		h.storeLocked(pid, hubEntry{ch: e.ch})
+	}
+	h.polls = 0
 	return woken
 }
 
-// wakeFanouts reports how many global wake rounds actually woke waiters.
+// wakeFanouts reports how many global wake rounds actually woke parked
+// polls.
 func (h *deliveryHub) wakeFanouts() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.fanouts
 }
 
-func wakeWaiters(woken []*pollWaiter) {
-	for _, w := range woken {
-		w.timer.Stop()
-		go w.fulfill(&pollReply{})
+func signalAll(woken []subscriber, closing bool) {
+	for _, s := range woken {
+		s.signal(closing)
 	}
 }
 
-// notifyPID wakes the waiters of one participant — a mirror action landed
-// in its outbox, or it was disconnected.
-func (h *deliveryHub) notifyPID(pid string) {
+// notifyPID wakes the subscribers of one participant — a mirror action
+// landed in its outbox, or it was disconnected. except, when non-nil, is a
+// channel handing actions back after a failed flush: it must not wake
+// itself, or a persistent failure would spin its writer.
+func (h *deliveryHub) notifyPID(pid string, except *agentChannel) {
 	h.mu.Lock()
 	h.pidSeqs[pid]++
-	list := h.parked[pid]
-	delete(h.parked, pid)
-	h.count -= len(list)
+	e := h.subs[pid]
+	h.polls -= len(e.polls)
+	h.storeLocked(pid, hubEntry{ch: e.ch})
 	h.mu.Unlock()
-	for _, w := range list {
-		w.timer.Stop()
-		go w.fulfill(&pollReply{})
+	for _, w := range e.polls {
+		w.signal(false)
+	}
+	if e.ch != nil && e.ch != except {
+		e.ch.signal(false)
 	}
 }
 
-// close wakes everything with the shutdown reply and refuses future parks.
-// Polls arriving afterwards are answered immediately, interval-style, so a
-// closed agent still speaks the paper's protocol.
+// close signals every subscriber with the shutdown reply and refuses future
+// parks: parked polls complete with the empty response marked AgentClosing
+// and channels close with AGENT_CLOSING. Polls arriving afterwards are
+// answered immediately, interval-style, so a closed agent still speaks the
+// paper's protocol.
 func (h *deliveryHub) close() {
 	h.mu.Lock()
 	if h.closed {
@@ -281,15 +375,7 @@ func (h *deliveryHub) close() {
 		h.wakeTimer.Stop()
 	}
 	h.wakeArmed = false
-	var woken []*pollWaiter
-	for pid, list := range h.parked {
-		woken = append(woken, list...)
-		delete(h.parked, pid)
-	}
-	h.count = 0
+	woken := h.collectAllLocked()
 	h.mu.Unlock()
-	for _, w := range woken {
-		w.timer.Stop()
-		w.fulfill(&pollReply{closed: true})
-	}
+	signalAll(woken, true)
 }

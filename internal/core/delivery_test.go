@@ -405,7 +405,7 @@ func TestHubPreWakeRunsOnTrailingWake(t *testing.T) {
 	var mu sync.Mutex
 	var sawWoken int
 	var preBeforeFulfill bool
-	h.preWake = func(woken []*pollWaiter) {
+	h.preWake = func(woken []subscriber) {
 		mu.Lock()
 		sawWoken += len(woken)
 		mu.Unlock()

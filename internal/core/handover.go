@@ -221,7 +221,7 @@ func (a *Agent) HandoverTo(client *httpwire.Client, addr string) error {
 	// the measured ladder, not the forced floor) precisely so this wake can
 	// deliver the MOVED close frame over the live channel — the framed
 	// analogue of the MOVED response every poll now receives.
-	a.notifyAllChannels()
+	a.hub.notifyAll()
 	state, err := a.ExportState()
 	if err != nil {
 		a.setRelocated("")

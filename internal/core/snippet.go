@@ -131,9 +131,9 @@ type Snippet struct {
 	// away, and adding a second channel would double their request rate for
 	// little gain). Any push failure falls back to the piggyback queue —
 	// the action is never lost — and suspends further pushes until a poll
-	// succeeds again. Delivery is at-least-once, exactly like the piggyback
-	// path's requeue-on-failure: an ack lost after the agent merged the
-	// action replays it on the next poll.
+	// succeeds again. An ack lost after the agent merged the action makes
+	// the next poll resend it, and the agent's (CID, CSeq) replay filter
+	// drops the copy, so delivery stays exactly-once.
 	ActionPush bool
 	// FetchObjects controls whether supplementary objects are downloaded
 	// after a content update (on by default; the experiment harness turns
@@ -416,12 +416,12 @@ func (s *Snippet) Rejoin() error {
 		}
 		return err
 	}
+	s.resetMemo()
 	s.mu.Lock()
 	if relocated {
 		s.stats.Relocates++
 	}
 	s.docTime = 0
-	s.memo = ApplyMemo{}
 	s.pushSuspended = false
 	s.rejoinNeeded = false
 	s.agentClosing = false
@@ -455,12 +455,11 @@ const actionPushTimeout = 5 * time.Second
 // drop it — and suspends the channel so later actions don't pay a doomed
 // round trip each before a poll proves the agent reachable again.
 //
-// The fallback gives at-least-once delivery, the same contract the poll
-// path's requeue-on-transport-error already has: if the failure was a lost
-// or late ack rather than a lost request, the agent has applied the action
-// and the piggybacked retry replays it. Both windows require the agent to
-// go half-dead mid-exchange; a replay guard would need agent-side action
-// ids and is not worth it for pointer/form traffic.
+// The fallback is exactly-once: if the failure was a lost or late ack
+// rather than a lost request, the agent has already applied the action and
+// the piggybacked retry resends it, but the action carries its (CID, CSeq)
+// stamp and the agent's replay filter drops the copy — the same guard that
+// keeps the poll path's requeue-on-transport-error exactly-once.
 func (s *Snippet) dispatch(act Action) {
 	s.mu.Lock()
 	s.stampLocked(&act)
@@ -895,10 +894,21 @@ func (s *Snippet) handleDeltaResponse(body []byte, ts int64) (bool, error) {
 // desync forgets the acknowledged document timestamp: the next poll reports
 // ts=0, which the agent always answers with a full snapshot.
 func (s *Snippet) desync() {
+	s.resetMemo()
 	s.mu.Lock()
 	s.docTime = 0
-	s.memo = ApplyMemo{}
 	s.mu.Unlock()
+}
+
+// resetMemo forgets what the memo last applied. Applies read and write the
+// memo inside ApplyMutation, under the participant browser's lock, so the
+// reset takes that lock too. Without a loaded page there is nothing the
+// memo could describe, so WithDocument's no-page error needs no handling.
+func (s *Snippet) resetMemo() {
+	_ = s.Browser.WithDocument(func(string, *dom.Document) error {
+		s.memo = ApplyMemo{}
+		return nil
+	})
 }
 
 // ApplyContent installs new document content into the participant browser,

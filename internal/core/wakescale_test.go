@@ -108,15 +108,42 @@ func TestWakeDebounceMassPark(t *testing.T) {
 	}
 }
 
+// attachedChannel waits until exactly one channel is attached to the hub
+// and acknowledges base, and returns it.
+func attachedChannel(t *testing.T, a *Agent, base int64) *agentChannel {
+	t.Helper()
+	var ch *agentChannel
+	waitUntil(t, "channel acknowledging the base", func() bool {
+		a.hub.mu.Lock()
+		ch = nil
+		for _, e := range a.hub.subs {
+			if e.ch != nil {
+				ch = e.ch
+			}
+		}
+		a.hub.mu.Unlock()
+		if ch == nil {
+			return false
+		}
+		_, b := ch.ackedBase()
+		return b == base
+	})
+	return ch
+}
+
 // TestWakePrecomputeWarmsDeltas pins the wake-time precomputation: run the
-// hub's preWake hook over a delta-advertising fleet parked on one acked
-// base, exactly as the trailing wake does, and require it to build the new
-// content and the fleet's (base, target) delta before any poll is served —
-// so the whole woken fleet then rides warm cache hits: the diff runs exactly
-// once per distinct base and the single content build is shared.
+// hub's preWake hook over a delta-advertising fleet on one acked base —
+// parked polls and an attached channel alike, exactly as the trailing wake
+// collects them — and require it to build the new content and the fleet's
+// (base, target) delta before anything is served. The whole woken fleet then
+// rides warm cache hits: the diff runs exactly once per distinct base, the
+// single content build is shared, and the channel's frame is a delta too.
 func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 	const fleet = 16
-	w := newWorld(t, nil)
+	// The navigation below opens a long debounce window, so the mutation's
+	// wake is held back and nothing — the channel included — computes the
+	// new delta before the precompute does.
+	w := newWorld(t, func(a *Agent) { a.WakeDebounce = time.Minute })
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 
 	polls := make([]*httpwire.Request, fleet)
@@ -139,6 +166,9 @@ func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 		polls[i] = req
 	}
 	base := w.agent.LatestDocTime()
+	s, _, _ := duplexJoin(t, w, "chan.lan")
+	ch := attachedChannel(t, w.agent, base)
+	waitUntil(t, "channel's initial snapshot applied", func() bool { return s.DocTime() == base })
 
 	// The host mutates; no poll has landed yet, so no build exists for the
 	// new version when the trailing wake would fire.
@@ -149,13 +179,13 @@ func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	diffs0, builds0 := w.agent.DiffBuilds(), w.agent.ContentBuilds()
+	diffs0, builds0, served0 := w.agent.DiffBuilds(), w.agent.ContentBuilds(), w.agent.DeltasServed()
 
-	// The waiters the trailing wake would have collected: the whole fleet
-	// parked on one base, deltas advertised.
-	woken := make([]*pollWaiter, fleet)
-	for i, pid := range pids {
-		woken[i] = &pollWaiter{pid: pid, ts: base, deltaOK: true}
+	// The subscribers the trailing wake would have collected: the whole
+	// fleet parked on one base with deltas advertised, plus the channel.
+	woken := []subscriber{ch}
+	for _, pid := range pids {
+		woken = append(woken, &pollWaiter{pid: pid, ts: base, deltaOK: true})
 	}
 	w.agent.warmWakeDeltas(woken)
 
@@ -164,6 +194,19 @@ func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 	}
 	if d := w.agent.DiffBuilds() - diffs0; d != 1 {
 		t.Fatalf("precompute ran %d diffs for one distinct base, want exactly 1", d)
+	}
+	if got := s.DocTime(); got != base {
+		t.Fatalf("channel moved to docTime %d inside the debounce window; want it held at %d until its wake", got, base)
+	}
+
+	// The channel's wake: one delta frame from the warm cache.
+	ch.signal(false)
+	waitUntil(t, "channel delivery", func() bool { return s.DocTime() > base })
+	if d := w.agent.DeltasServed() - served0; d != 1 {
+		t.Fatalf("channel wake served %d deltas, want its one frame as a delta", d)
+	}
+	if d := w.agent.DiffBuilds() - diffs0; d != 1 {
+		t.Fatalf("channel frame re-ran the diff: %d total, want 1 (cache was cold)", d)
 	}
 
 	// Fan-out: every poll must be a warm hit — delta bytes out, zero
@@ -184,7 +227,7 @@ func TestWakePrecomputeWarmsDeltas(t *testing.T) {
 	if d := w.agent.ContentBuilds() - builds0; d != 1 {
 		t.Errorf("fleet fan-out re-built content: %d total, want 1", d)
 	}
-	if got := w.agent.DeltasServed(); got < fleet {
-		t.Errorf("DeltasServed = %d, want at least the %d woken polls", got, fleet)
+	if d := w.agent.DeltasServed() - served0; d != fleet+1 {
+		t.Errorf("DeltasServed advanced %d, want %d: every woken poll plus the channel", d, fleet+1)
 	}
 }
