@@ -8,8 +8,10 @@ build:
 test: build
 	$(GO) test ./...
 
+# cobench is its own module (replace rcb => ../), so the root ./... skips it.
 vet:
 	$(GO) vet ./...
+	cd cobench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./...
 
 # Concurrency regression gate: the single-flight serve path (content and
 # delta), the sharded agent locks, and the long-poll delivery hub must stay

@@ -242,7 +242,7 @@ func TestActionPushServerDownFallsBack(t *testing.T) {
 		t.Fatalf("stats after failed push = %+v: want 1 fallback, 0 pushed", st)
 	}
 	s.mu.Lock()
-	queued, suspended := len(s.queue), s.pushSuspended
+	queued, suspended := len(s.queue), !s.push.until.IsZero()
 	s.mu.Unlock()
 	if queued != 1 || !suspended {
 		t.Fatalf("queue=%d suspended=%v after failed push: the action must be queued and the channel suspended", queued, suspended)
@@ -271,7 +271,7 @@ func TestActionPushServerDownFallsBack(t *testing.T) {
 		t.Fatalf("recovery poll piggybacked %d actions, want 2 (both fallbacks)", st.ActionsSent)
 	}
 	s.mu.Lock()
-	suspended = s.pushSuspended
+	suspended = !s.push.until.IsZero()
 	s.mu.Unlock()
 	if suspended {
 		t.Fatal("successful poll did not re-arm the push channel")

@@ -6,9 +6,10 @@ import (
 )
 
 // Backoff is a capped exponential backoff with jitter, shared by the
-// snippet's poll, action-push, and join retry paths. Each Next() doubles
-// the delay up to Max and jitters it into [d/2, d] so a classroom of
-// snippets that lost the same agent does not reconnect in lockstep.
+// snippet's poll, join, action-push and channel-upgrade retry paths (the
+// last two through their breakers). Each Next() doubles the delay up to Max
+// and jitters it into [d/2, d] so a classroom of snippets that lost the
+// same agent does not reconnect in lockstep.
 //
 // The zero value is unusable; construct with newBackoff or fill Base/Max.
 // Rand is injectable so tests get deterministic sequences.
@@ -60,3 +61,25 @@ func (b *Backoff) Reset() { b.attempts = 0 }
 // Attempts reports how many delays have been handed out since the last
 // reset.
 func (b *Backoff) Attempts() int { return b.attempts }
+
+// breaker is a half-open circuit over one retry schedule. It pauses a
+// failed delivery path — the /action push, the channel upgrade — while the
+// snippet's fallback carries the session: suspend opens a pause of the
+// schedule's next delay, floored by any server-assigned retry interval;
+// once the pause passes one probe is admitted, whose failure suspends again
+// with a doubled delay; reset re-arms the path after a success.
+type breaker struct {
+	Backoff
+	until time.Time
+}
+
+func (b *breaker) suspend(floor time.Duration) {
+	b.until = time.Now().Add(max(b.Next(), floor))
+}
+
+func (b *breaker) suspended() bool { return b.until.After(time.Now()) }
+
+func (b *breaker) reset() {
+	b.until = time.Time{}
+	b.Reset()
+}

@@ -211,8 +211,8 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 		t.Fatalf("ActionFallbacks = %d, want 1", st.ActionFallbacks)
 	}
 	s.mu.Lock()
-	attempts := s.pushBackoff.Attempts()
-	suspended := s.pushSuspended
+	attempts := s.push.Attempts()
+	suspended := !s.push.until.IsZero()
 	s.mu.Unlock()
 	if !suspended || attempts != 1 {
 		t.Fatalf("after failed push: suspended=%v attempts=%d", suspended, attempts)
@@ -220,7 +220,7 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	// Inside the pause, pushes are not even attempted: fallback count must
 	// not advance (the action goes straight to the queue).
 	s.mu.Lock()
-	s.pushResumeAt = time.Now().Add(time.Hour)
+	s.push.until = time.Now().Add(time.Hour)
 	s.mu.Unlock()
 	s.PointerMove(2, 2)
 	if got := s.Stats().ActionFallbacks; got != 1 {
@@ -229,7 +229,7 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 	// Past the pause, exactly one probe goes out; its failure doubles the
 	// schedule.
 	s.mu.Lock()
-	s.pushResumeAt = time.Now().Add(-time.Millisecond)
+	s.push.until = time.Now().Add(-time.Millisecond)
 	s.queue = nil // pushEligible requires an empty piggyback queue
 	s.mu.Unlock()
 	s.PointerMove(3, 3)
@@ -238,7 +238,7 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 		t.Fatalf("probe push not attempted (fallbacks=%d)", st.ActionFallbacks)
 	}
 	s.mu.Lock()
-	if got := s.pushBackoff.Attempts(); got != 2 {
+	if got := s.push.Attempts(); got != 2 {
 		s.mu.Unlock()
 		t.Fatalf("push attempts after failed probe = %d, want 2", got)
 	}
@@ -257,8 +257,8 @@ func TestPushBackoffSuspendProbeAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	suspended = s.pushSuspended
-	attempts = s.pushBackoff.Attempts()
+	suspended = !s.push.until.IsZero()
+	attempts = s.push.Attempts()
 	s.mu.Unlock()
 	if suspended || attempts != 0 {
 		t.Fatalf("after successful poll: suspended=%v attempts=%d, want re-armed and reset", suspended, attempts)
@@ -351,7 +351,7 @@ func TestRejoinResetsJoinBackoffAndSyncState(t *testing.T) {
 		t.Fatal("no baseline to test against")
 	}
 	s.mu.Lock()
-	_, _, join := s.backoffsLocked()
+	_, join := s.backoffsLocked()
 	join.Next()
 	join.Next()
 	s.mu.Unlock()

@@ -6,8 +6,10 @@ package core
 // handover scenario.
 
 import (
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -487,4 +489,68 @@ func TestChannelDeliverFailureNoSpin(t *testing.T) {
 
 	w.hostNavigate(t, url)
 	waitUntil(t, "requeued action delivered", func() bool { return w.agent.OutboxDepth() == 0 })
+}
+
+// TestChannelAttachFlushPrecedesDispatch stages the attach race: actions
+// queued during the fallback window must reach the agent before an action
+// dispatched while the channel attaches. The test holds the writer lock the
+// way an earlier action still being written would, lets a new action (the
+// dispatcher) wait on it first, and only then lets the upgrade complete, so
+// the attach arrives second. Whichever of the two takes the lock next, the
+// Policy must see the queued actions first and every action exactly once —
+// a dispatcher that sees the published channel before the flush would write
+// its action ahead of them, and its cumulative ack would prune them from the
+// retransmit buffer unread.
+func TestChannelAttachFlushPrecedesDispatch(t *testing.T) {
+	var mu sync.Mutex
+	var seen []int
+	w := newWorld(t, func(a *Agent) {
+		a.Policy = PolicyFunc(func(_ string, act Action) Decision {
+			mu.Lock()
+			seen = append(seen, act.X)
+			mu.Unlock()
+			return Apply
+		})
+	})
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	s := w.join(t, "attach.lan")
+	s.Delivery = DeliveryDuplex
+	for x := 1; x <= 3; x++ {
+		s.QueueAction(Action{Kind: ActionMouseMove, X: x})
+	}
+
+	s.wmu.Lock()
+	dispatched := make(chan struct{})
+	go func() {
+		s.PointerMove(4, 4)
+		close(dispatched)
+	}()
+	time.Sleep(20 * time.Millisecond) // the dispatcher queues on the lock first
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- s.DuplexOnce(stop) }()
+	waitUntil(t, "upgrade accepted", func() bool { return w.agent.ChannelsOpen() == 1 })
+	time.Sleep(20 * time.Millisecond) // the attach reaches the lock second
+	s.wmu.Unlock()
+	<-dispatched
+
+	waitUntil(t, "all actions at the policy", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) >= 4
+	})
+	waitUntil(t, "retransmit buffer acked", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.chanSent) == 0 && len(s.queue) == 0
+	})
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("DuplexOnce: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []int{1, 2, 3, 4}; !slices.Equal(seen, want) {
+		t.Fatalf("policy saw actions %v, want %v (queued ones first, each once)", seen, want)
+	}
 }

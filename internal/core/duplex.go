@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"rcb/internal/browser"
 	"rcb/internal/httpwire"
 )
 
@@ -32,31 +31,24 @@ const duplexPingInterval = 5 * time.Second
 const duplexReadTimeout = 3 * duplexPingInterval
 
 // duplexEligible reports whether Run should attempt a channel session now:
-// the snippet is in duplex mode and not inside a post-failure suspension
-// window (during which the long-poll fallback carries the session).
+// the snippet is in duplex mode and its channel breaker is not suspended
+// (while it is, the long-poll fallback carries the session).
 func (s *Snippet) duplexEligible() bool {
 	if s.Delivery != DeliveryDuplex {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return !s.duplexUntil.After(time.Now())
+	return !s.duplex.suspended()
 }
 
-// suspendDuplex opens (or extends) the fallback window after a refused
-// upgrade or a lost channel: upgrade attempts pause for the backoff delay —
-// floored by any server-assigned retry interval — while polling carries the
-// session.
-func (s *Snippet) suspendDuplex() {
-	s.mu.Lock()
+// suspendDuplexLocked trips the channel breaker after a refused upgrade or
+// a lost channel: upgrade attempts pause for the backoff delay — floored by
+// any server-assigned retry interval — while polling carries the session.
+func (s *Snippet) suspendDuplexLocked() {
 	s.backoffsLocked()
-	d := s.duplexBackoff.Next()
-	if s.retryAfter > d {
-		d = s.retryAfter
-	}
-	s.duplexUntil = time.Now().Add(d)
+	s.duplex.suspend(s.retryAfter)
 	s.stats.DuplexFallbacks++
-	s.mu.Unlock()
 }
 
 // duplexDelay is the pause Run takes after a channel session ends: zero
@@ -70,42 +62,42 @@ func (s *Snippet) duplexDelay() time.Duration {
 }
 
 // dispatchDuplex routes one stamped action over the live channel, if one is
-// attached. The action enters the retransmit buffer before the write: if
-// the channel dies with the ack outstanding, teardown requeues it for
-// piggybacking, and the agent's (CID, CSeq) filter absorbs the replay —
-// at-least-once on the wire, exactly-once in effect, the same contract as
-// every other upstream path.
+// attached. The caller holds wmu. The action enters the retransmit buffer
+// before the write: if the channel dies with the ack outstanding, teardown
+// requeues it for piggybacking, and the agent's (CID, CSeq) filter absorbs
+// the replay — at-least-once on the wire, exactly-once in effect, the same
+// contract as every other upstream path.
 func (s *Snippet) dispatchDuplex(act Action) bool {
 	s.mu.Lock()
 	ch := s.channel
+	if ch != nil {
+		s.chanSent = append(s.chanSent, act)
+	}
+	s.mu.Unlock()
 	if ch == nil {
-		s.mu.Unlock()
 		return false
 	}
-	s.chanSent = append(s.chanSent, act)
-	s.stats.DuplexActionsSent++
-	s.mu.Unlock()
-	payload := EncodeActions([]Action{act})
-	if err := ch.WriteFrame(httpwire.Frame{Type: FrameActions, Payload: []byte(payload)}); err != nil {
-		// The channel is dying under us. Move the action from the
-		// retransmit buffer to the piggyback queue — unless the teardown
-		// already swept it there.
-		s.mu.Lock()
-		for i := range s.chanSent {
-			if s.chanSent[i].CID == act.CID && s.chanSent[i].CSeq == act.CSeq {
-				s.chanSent = append(s.chanSent[:i], s.chanSent[i+1:]...)
-				s.queue = append(s.queue, act)
-				s.stats.ActionFallbacks++
-				break
-			}
-		}
-		s.mu.Unlock()
-		return true
-	}
-	s.mu.Lock()
-	s.stats.DuplexFramesOut++
-	s.mu.Unlock()
+	s.writeActions(ch, []Action{act})
 	return true
+}
+
+// writeActions sends actions already entered in chanSent as one ACTIONS
+// frame; the caller holds wmu, so frames leave in chanSent order. A failed
+// write closes the dying channel and leaves the actions buffered: the
+// session's teardown moves them to the piggyback queue.
+func (s *Snippet) writeActions(ch *httpwire.ChannelConn, acts []Action) {
+	err := ch.WriteFrame(httpwire.Frame{Type: FrameActions, Payload: []byte(EncodeActions(acts))})
+	s.mu.Lock()
+	if err != nil {
+		s.stats.ActionFallbacks += int64(len(acts))
+	} else {
+		s.stats.DuplexActionsSent += int64(len(acts))
+		s.stats.DuplexFramesOut++
+	}
+	s.mu.Unlock()
+	if err != nil {
+		ch.Close()
+	}
 }
 
 // DuplexOnce runs one persistent-channel session: upgrade the connection,
@@ -117,65 +109,46 @@ func (s *Snippet) dispatchDuplex(act Action) bool {
 // the channel the moment it opens; unacknowledged ones are requeued when it
 // closes.
 func (s *Snippet) DuplexOnce(stop <-chan struct{}) error {
-	addr, err := s.agentAddr()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	ts := s.docTime
-	s.mu.Unlock()
-	fields := []httpwire.FormField{{Name: "ts", Value: strconv.FormatInt(ts, 10)}}
+	fields := []httpwire.FormField{{Name: "ts", Value: strconv.FormatInt(s.DocTime(), 10)}}
 	if !s.DisableDelta {
 		fields = append(fields, httpwire.FormField{Name: "delta", Value: "1"})
 	}
-	body := httpwire.AppendForm(make([]byte, 0, 64), fields)
-	target := "/channel"
-	if s.auth != nil {
-		target = s.auth.Sign("POST", target, body)
+	addr, req, err := s.newRequest("/channel", fields)
+	if err != nil {
+		return err
 	}
-	req := httpwire.NewRequest("POST", target)
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	if c := s.Browser.Jar.Header(browser.HostOf(s.agentURL() + "/")); c != "" {
-		req.Header.Set("Cookie", c)
-	}
-	req.Body = body
 	ch, resp, err := s.Browser.Client.Upgrade(addr, req, duplexUpgradeTimeout)
 	if err != nil {
-		s.suspendDuplex()
+		s.mu.Lock()
+		s.suspendDuplexLocked()
+		s.mu.Unlock()
 		return fmt.Errorf("rcb-snippet: channel upgrade: %w", err)
 	}
 	if ch == nil {
-		return s.duplexRefused(resp)
+		return s.duplexClose("channel upgrade", closeFromHeader(resp.Header), resp.StatusCode)
 	}
 
 	// Channel up: attach it as the dispatch target and flush the piggyback
 	// queue over it, so actions queued during the fallback window arrive
-	// now instead of riding a poll that will never be sent.
+	// now instead of riding a poll that will never be sent. Both happen
+	// under wmu: a concurrent action waits for the flush, so it can neither
+	// overtake the queued ones on the wire nor let its ack prune them.
+	s.wmu.Lock()
 	s.mu.Lock()
 	s.channel = ch
 	queued := s.queue
 	s.queue = nil
+	s.chanSent = append(s.chanSent, queued...)
 	s.stats.DuplexUpgrades++
-	s.backoffsLocked()
-	s.duplexBackoff.Reset()
-	s.pushSuspended = false
+	s.duplex.reset()
+	s.push.reset()
 	s.parkDenied = false
 	s.retryAfter = 0
 	s.mu.Unlock()
 	if len(queued) > 0 {
-		if werr := ch.WriteFrame(httpwire.Frame{Type: FrameActions,
-			Payload: []byte(EncodeActions(queued))}); werr == nil {
-			s.mu.Lock()
-			s.chanSent = append(s.chanSent, queued...)
-			s.stats.DuplexActionsSent += int64(len(queued))
-			s.stats.DuplexFramesOut++
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			s.queue = append(queued, s.queue...)
-			s.mu.Unlock()
-		}
+		s.writeActions(ch, queued)
 	}
+	s.wmu.Unlock()
 
 	// Keepalive and stop handling share a goroutine: pings flow while the
 	// session lives; a stop closes the channel out from under the read
@@ -215,58 +188,38 @@ func (s *Snippet) DuplexOnce(stop <-chan struct{}) error {
 	if s.channel == ch {
 		s.channel = nil
 	}
-	unacked := s.chanSent
+	s.queue = append(s.chanSent, s.queue...)
 	s.chanSent = nil
-	if len(unacked) > 0 {
-		s.queue = append(unacked, s.queue...)
-	}
 	s.mu.Unlock()
 	return err
 }
 
-// duplexRefused classifies a non-101 answer to the upgrade handshake,
-// mirroring PollOnce's terminal-response handling: MOVED follows the
-// relocation, an unknown/stale identity rejoins, deliberate removal ends
-// the session, and load refusals quietly open the fallback window.
-func (s *Snippet) duplexRefused(resp *httpwire.Response) error {
-	reason := ParseCloseReason(resp.Header.Get(CloseReasonHeader))
+// duplexClose routes a close the channel received — a refused upgrade
+// (read off its headers) or a FrameClose — after recording it: MOVED and
+// an unknown or stale identity rejoin, deliberate removal ends the session,
+// and a load refusal (OVERCOMMITTED, SESSION_FULL, AGENT_CLOSING) or a
+// reason-less denial is not a session event, just this channel being
+// declined: fall back to polling and retry the upgrade later.
+func (s *Snippet) duplexClose(what string, cs closeSignal, status int) error {
 	s.mu.Lock()
-	if ra := parseRetryAfterMS(resp.Header.Get(RetryAfterHeader)); ra > 0 {
-		s.retryAfter = ra
-	}
-	if reason != CloseNone {
-		s.stats.LastCloseReason = reason
-	}
-	switch reason {
-	case CloseMoved:
-		if addr := resp.Header.Get(RelocateHeader); addr != "" {
-			s.relocateTo = normalizeAgentURL(addr)
-		}
+	defer s.mu.Unlock()
+	s.noteCloseLocked(cs)
+	switch cs.reason {
+	case CloseMoved, CloseUnknown, CloseStaleReader:
 		s.rejoinNeeded = true
-		s.mu.Unlock()
-	case CloseUnknown, CloseStaleReader:
-		s.rejoinNeeded = true
-		s.mu.Unlock()
 	case CloseLeave, CloseKicked:
-		s.mu.Unlock()
 	default:
-		// Load refusal (OVERCOMMITTED, SESSION_FULL, AGENT_CLOSING) or a
-		// reason-less denial: not a session event, just this channel being
-		// declined. Fall back to polling and retry the upgrade later.
-		s.mu.Unlock()
-		s.suspendDuplex()
+		s.suspendDuplexLocked()
 		return nil
 	}
-	return fmt.Errorf("rcb-snippet: channel upgrade: %w",
-		&CloseError{Reason: reason, Status: resp.StatusCode})
+	return closeErr(what, cs.reason, status)
 }
 
 // duplexReadLoop consumes frames until the channel ends. Content and delta
-// frames apply exactly as their poll-response counterparts and are
-// acknowledged with the resulting docTime — or with 0 when an apply fails,
-// which asks the agent for a full resync over the same channel. A read
-// error opens the fallback window; a close frame is classified like a
-// terminal poll response.
+// frames apply exactly as a poll response does and are acknowledged with
+// the resulting docTime — or with 0 when an apply fails, which asks the
+// agent for a full resync over the same channel. A read error opens the
+// fallback window; a close frame is routed like a refused upgrade.
 func (s *Snippet) duplexReadLoop(ch *httpwire.ChannelConn, stop <-chan struct{}) error {
 	for {
 		_ = ch.SetReadDeadline(time.Now().Add(duplexReadTimeout))
@@ -277,17 +230,21 @@ func (s *Snippet) duplexReadLoop(ch *httpwire.ChannelConn, stop <-chan struct{})
 				return nil // our own shutdown closed the socket
 			default:
 			}
-			s.suspendDuplex()
+			s.mu.Lock()
+			s.suspendDuplexLocked()
+			s.mu.Unlock()
 			return fmt.Errorf("rcb-snippet: channel read: %w", err)
 		}
 		s.mu.Lock()
 		s.stats.DuplexFramesIn++
 		s.mu.Unlock()
 		switch f.Type {
-		case FrameContent:
-			s.duplexContent(ch, f.Payload)
-		case FrameDelta:
-			s.duplexDelta(ch, f.Payload)
+		case FrameContent, FrameDelta:
+			if updated, err := s.applyMessage(f.Payload); err != nil {
+				s.duplexAck(ch, 0)
+			} else if updated {
+				s.duplexAck(ch, s.DocTime())
+			}
 		case FrameActionAck:
 			seq, _ := strconv.ParseInt(string(f.Payload), 10, 64)
 			s.mu.Lock()
@@ -302,83 +259,12 @@ func (s *Snippet) duplexReadLoop(ch *httpwire.ChannelConn, stop <-chan struct{})
 		case FramePong:
 			// Keepalive answered; the read deadline was already pushed out.
 		case FrameClose:
-			return s.duplexClosed(decodeCloseSignal(f.Payload))
+			cs := decodeCloseSignal(f.Payload)
+			return s.duplexClose("channel closed", cs, cs.reason.StatusCode())
 		default:
 			// Unknown frame type: ignore, for forward compatibility.
 		}
 	}
-}
-
-// duplexClosed classifies the agent's close frame — the frame analogue of a
-// terminal poll response, with the same routing as duplexRefused.
-func (s *Snippet) duplexClosed(cs closeSignal) error {
-	s.mu.Lock()
-	s.stats.LastCloseReason = cs.reason
-	if cs.retry > 0 {
-		s.retryAfter = cs.retry
-	}
-	switch cs.reason {
-	case CloseMoved:
-		if cs.relocate != "" {
-			s.relocateTo = normalizeAgentURL(cs.relocate)
-		}
-		s.rejoinNeeded = true
-		s.mu.Unlock()
-	case CloseUnknown, CloseStaleReader:
-		s.rejoinNeeded = true
-		s.mu.Unlock()
-	case CloseLeave, CloseKicked:
-		s.mu.Unlock()
-	default:
-		// The agent shed this channel (or is shutting down): degrade to the
-		// poll path, retry the upgrade when the window passes.
-		s.mu.Unlock()
-		s.suspendDuplex()
-		return nil
-	}
-	return fmt.Errorf("rcb-snippet: channel closed: %w",
-		&CloseError{Reason: cs.reason, Status: cs.reason.StatusCode()})
-}
-
-// duplexContent applies one full-content frame: the poll path's
-// newContent handling, minus the request.
-func (s *Snippet) duplexContent(ch *httpwire.ChannelConn, payload []byte) {
-	content, err := Unmarshal(payload)
-	if err != nil {
-		s.desync()
-		s.duplexAck(ch, 0)
-		return
-	}
-	for _, act := range content.UserActions {
-		if s.OnUserAction != nil {
-			s.OnUserAction(act)
-		}
-	}
-	if !content.HasDocument {
-		return // mirror actions only; nothing to acknowledge
-	}
-	if err := s.ApplyContent(content); err != nil {
-		s.desync()
-		s.duplexAck(ch, 0)
-		return
-	}
-	s.mu.Lock()
-	s.docTime = content.DocTime
-	s.stats.ContentPolls++
-	s.mu.Unlock()
-	s.duplexAck(ch, content.DocTime)
-}
-
-// duplexDelta applies one delta frame through the shared delta path; any
-// failure has already reset the sync state, and the 0-ack asks the agent
-// to push the full snapshot.
-func (s *Snippet) duplexDelta(ch *httpwire.ChannelConn, payload []byte) {
-	ts := s.DocTime()
-	if _, err := s.handleDeltaResponse(payload, ts); err != nil {
-		s.duplexAck(ch, 0)
-		return
-	}
-	s.duplexAck(ch, s.DocTime())
 }
 
 // duplexAck reports an applied docTime (or, with 0, a failed apply that

@@ -97,10 +97,16 @@ const parkDeniedThreshold = 100 * time.Millisecond
 //
 // By default the snippet reproduces the paper exactly: Run sleeps
 // PollInterval between polls and every request completes immediately
-// (DeliveryInterval). Setting Delivery to DeliveryLongPoll turns the same
-// request/response channel into a push path — see DeliveryMode. PollOnce
-// honors the mode either way, so harnesses that drive polls manually get
-// long-poll semantics just by setting the field.
+// (DeliveryInterval). DeliveryLongPoll turns the same request/response
+// exchange into a push path, and DeliveryDuplex upgrades to a framed
+// persistent channel that falls back to long-poll — see DeliveryMode.
+// PollOnce honors the mode either way, so harnesses that drive polls
+// manually get long-poll semantics just by setting the field.
+//
+// The transports share one implementation of each job they have in
+// common: building the signed request, reading and recording a close
+// (from response headers or a close frame), applying a content message,
+// and pausing a failed action push or channel on a half-open breaker.
 type Snippet struct {
 	// Browser is the participant browser model.
 	Browser *browser.Browser
@@ -113,8 +119,9 @@ type Snippet struct {
 	// interval mode, and the retry backoff after a failed poll in long-poll
 	// mode. The paper's experiments use one second.
 	PollInterval time.Duration
-	// Delivery selects interval polling (default, paper semantics) or the
-	// hanging-GET long-poll channel.
+	// Delivery selects interval polling (default, paper semantics), the
+	// hanging-GET long-poll channel, or the duplex persistent channel with
+	// its long-poll fallback.
 	Delivery DeliveryMode
 	// LongPollWait is the maximum hang requested per long-poll request;
 	// zero means DefaultLongPollWait. The agent may cap it further
@@ -151,10 +158,10 @@ type Snippet struct {
 	// number. Auto-generated when left empty. Stable across rejoins, so a
 	// re-sent queue is deduplicated even under a new participant identity.
 	ClientID string
-	// RetryBase/RetryMax shape the unified retry backoff (poll, action
-	// push, join): delays double from RetryBase up to RetryMax with
-	// half-to-full jitter, and reset on success. RetryBase defaults to
-	// PollInterval, RetryMax to 30 seconds.
+	// RetryBase/RetryMax shape the unified retry backoff (poll, join,
+	// action push, channel upgrade): delays double from RetryBase up to
+	// RetryMax with half-to-full jitter, and reset on success. RetryBase
+	// defaults to PollInterval, RetryMax to 30 seconds.
 	RetryBase time.Duration
 	RetryMax  time.Duration
 	// RetryRand overrides the jitter source with a deterministic one
@@ -193,13 +200,6 @@ type Snippet struct {
 	// (Agent.Close), so Run must pace itself instead of re-issuing at
 	// network speed.
 	parkDenied bool
-	// pushSuspended records that the most recent action push failed, so
-	// later actions go straight to the piggyback queue instead of paying a
-	// doomed round trip each. A successful poll (proof the agent is
-	// reachable again) re-arms the push channel immediately; otherwise a
-	// single probe push is allowed once pushResumeAt passes (half-open).
-	pushSuspended bool
-	pushResumeAt  time.Time
 	// agentClosing records that the last poll was answered with the
 	// AgentClosing marker: the server completed it deliberately while
 	// shutting down, so Run backs off instead of re-parking immediately.
@@ -217,16 +217,24 @@ type Snippet struct {
 	// at-least-once (the agent's replay filter makes it exactly-once).
 	channel  *httpwire.ChannelConn
 	chanSent []Action
-	// duplexUntil suspends upgrade attempts after a refusal or channel loss:
-	// until it passes, a DeliveryDuplex snippet runs the long-poll path, then
-	// re-attempts the upgrade — degradation and recovery on one clock.
-	duplexUntil   time.Time
-	cseq          int64
-	clientID      string
-	pollBackoff   *Backoff
-	pushBackoff   *Backoff
-	joinBackoff   *Backoff
-	duplexBackoff *Backoff
+	cseq     int64
+	clientID string
+	// pollBackoff and joinBackoff pace retries of their paths. push pauses
+	// the /action upstream after a failed push (actions go straight to the
+	// piggyback queue); duplex pauses upgrade attempts after a refusal or a
+	// lost channel (the long-poll fallback carries the session).
+	pollBackoff Backoff
+	joinBackoff Backoff
+	push        breaker
+	duplex      breaker
+
+	// wmu is the upstream writer lock, taken before mu. One action at a
+	// time is stamped, routed and — on a channel — entered in chanSent and
+	// written, so the retransmit buffer is in wire order (the agent's
+	// cumulative FrameActionAck prunes by it); the channel attach publishes
+	// the channel and flushes the queue under it, so no action overtakes
+	// the queued ones.
+	wmu sync.Mutex
 }
 
 // NewSnippet returns a snippet for a participant browser joining agentURL.
@@ -274,34 +282,25 @@ func (s *Snippet) LastObjectFetches() []browser.ObjectFetch {
 // containing Ajax-Snippet, and the channel is established.
 func (s *Snippet) Join() error {
 	url := s.agentURL()
-	stats, err := s.Browser.Navigate(url + "/")
-	if err != nil {
+	if _, err := s.Browser.Navigate(url + "/"); err != nil {
 		var se *browser.StatusError
 		if errors.As(err, &se) {
-			if reason := ParseCloseReason(se.Header.Get(CloseReasonHeader)); reason != CloseNone {
+			if cs := closeFromHeader(se.Header); cs.reason != CloseNone {
 				s.mu.Lock()
-				s.stats.LastCloseReason = reason
-				if ra := parseRetryAfterMS(se.Header.Get(RetryAfterHeader)); ra > 0 {
-					s.retryAfter = ra
-				}
-				if reason == CloseMoved {
+				s.noteCloseLocked(cs)
+				if cs.reason == CloseMoved {
 					// The agent moved under us even for joining: follow the
 					// relocation on the next Rejoin attempt.
-					if addr := se.Header.Get(RelocateHeader); addr != "" {
-						s.relocateTo = normalizeAgentURL(addr)
-					}
 					s.rejoinNeeded = true
 				}
 				s.mu.Unlock()
-				return fmt.Errorf("rcb-snippet: join %s: %w", url,
-					&CloseError{Reason: reason, Status: se.StatusCode})
+				return closeErr("join "+url, cs.reason, se.StatusCode)
 			}
 		}
 		return fmt.Errorf("rcb-snippet: join %s: %w", url, err)
 	}
-	_ = stats
 	var hasSnippet bool
-	err = s.Browser.WithDocument(func(_ string, doc *dom.Document) error {
+	err := s.Browser.WithDocument(func(_ string, doc *dom.Document) error {
 		hasSnippet = doc.ByID("rcb-ajax-snippet") != nil
 		return nil
 	})
@@ -351,22 +350,21 @@ func (s *Snippet) stampLocked(act *Action) {
 	act.CSeq = s.cseq
 }
 
-// backoffsLocked lazily builds the four retry schedules; separate
-// instances, because a flapping push channel must not inflate poll retry
-// delays (and vice versa). The duplex schedule paces re-upgrade attempts
-// while the snippet rides its long-poll fallback.
-func (s *Snippet) backoffsLocked() (poll, push, join *Backoff) {
-	if s.pollBackoff == nil {
+// backoffsLocked lazily configures the four retry schedules; separate
+// instances, because a flapping push path must not inflate poll retry
+// delays (and vice versa). The push and duplex schedules pace their
+// breakers' probes.
+func (s *Snippet) backoffsLocked() (poll, join *Backoff) {
+	if s.pollBackoff.Base == 0 {
 		base := s.RetryBase
 		if base <= 0 {
 			base = s.PollInterval
 		}
-		s.pollBackoff = newBackoff(base, s.RetryMax, s.RetryRand)
-		s.pushBackoff = newBackoff(base, s.RetryMax, s.RetryRand)
-		s.joinBackoff = newBackoff(base, s.RetryMax, s.RetryRand)
-		s.duplexBackoff = newBackoff(base, s.RetryMax, s.RetryRand)
+		for _, b := range []*Backoff{&s.pollBackoff, &s.joinBackoff, &s.push.Backoff, &s.duplex.Backoff} {
+			*b = *newBackoff(base, s.RetryMax, s.RetryRand)
+		}
 	}
-	return s.pollBackoff, s.pushBackoff, s.joinBackoff
+	return &s.pollBackoff, &s.joinBackoff
 }
 
 // LastCloseReason reports the most recent close reason received from the
@@ -422,18 +420,14 @@ func (s *Snippet) Rejoin() error {
 		s.stats.Relocates++
 	}
 	s.docTime = 0
-	s.pushSuspended = false
 	s.rejoinNeeded = false
 	s.agentClosing = false
-	// A fresh identity deserves a fresh upgrade attempt: after a relocation
-	// the new agent has never refused this snippet a channel.
-	s.duplexUntil = time.Time{}
-	if s.duplexBackoff != nil {
-		s.duplexBackoff.Reset()
-	}
+	// A fresh identity deserves a fresh push and upgrade attempt: after a
+	// relocation the new agent has never refused this snippet either.
+	s.push.reset()
+	s.duplex.reset()
 	s.stats.Rejoins++
-	_, _, join := s.backoffsLocked()
-	join.Reset()
+	s.joinBackoff.Reset()
 	s.mu.Unlock()
 	return nil
 }
@@ -448,12 +442,14 @@ const actionLane = "action"
 // unreachable agent and the action must fall back to the piggyback queue.
 const actionPushTimeout = 5 * time.Second
 
-// dispatch routes one locally generated user action upstream: through the
-// fire-and-forget action POST when the push channel is enabled and healthy,
-// otherwise into the piggyback queue for the next polling request. A failed
-// push falls back to the queue — degradation can delay an action, never
-// drop it — and suspends the channel so later actions don't pay a doomed
-// round trip each before a poll proves the agent reachable again.
+// dispatch routes one locally generated user action upstream, one action
+// at a time under wmu: over the duplex channel when one is attached,
+// through the fire-and-forget action POST when the push path is enabled
+// and its breaker is not suspended, otherwise into the piggyback queue for
+// the next polling request. A failed push falls back to the queue —
+// degradation can delay an action, never drop it — and trips the push
+// breaker so later actions don't pay a doomed round trip each before a
+// poll proves the agent reachable again.
 //
 // The fallback is exactly-once: if the failure was a lost or late ack
 // rather than a lost request, the agent has already applied the action and
@@ -461,6 +457,8 @@ const actionPushTimeout = 5 * time.Second
 // stamp and the agent's replay filter drops the copy — the same guard that
 // keeps the poll path's requeue-on-transport-error exactly-once.
 func (s *Snippet) dispatch(act Action) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	s.mu.Lock()
 	s.stampLocked(&act)
 	s.mu.Unlock()
@@ -471,47 +469,35 @@ func (s *Snippet) dispatch(act Action) {
 		s.QueueAction(act)
 		return
 	}
-	if err := s.PushAction(act); err != nil {
-		s.mu.Lock()
-		s.pushSuspended = true
-		_, push, _ := s.backoffsLocked()
-		s.pushResumeAt = time.Now().Add(push.Next())
-		s.stats.ActionFallbacks++
-		if reason := CloseReasonOf(err); reason != CloseNone {
-			s.stats.LastCloseReason = reason
-		}
-		s.queue = append(s.queue, act)
-		s.mu.Unlock()
+	err := s.PushAction(act)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err == nil {
+		s.push.reset()
 		return
 	}
-	s.mu.Lock()
-	s.pushSuspended = false
-	_, push, _ := s.backoffsLocked()
-	push.Reset()
-	s.mu.Unlock()
+	s.backoffsLocked()
+	s.push.suspend(0)
+	s.stats.ActionFallbacks++
+	s.noteCloseLocked(closeSignal{reason: CloseReasonOf(err)})
+	s.queue = append(s.queue, act)
 }
 
 // pushEligible reports whether the next action may use the /action
 // upstream. Interval-mode snippets never push (the paper's piggyback path
 // is their protocol), and a non-empty piggyback queue forces queueing so
 // actions are never reordered around earlier ones still waiting for a
-// poll. A suspended channel re-arms on the next successful poll, or — when
-// the agent stays unreachable on the poll path too — admits one probe push
-// per backoff step (half-open): the probe's success re-opens the channel,
-// its failure doubles the pause.
+// poll. A suspended push breaker re-arms on the next successful poll, or —
+// when the agent stays unreachable on the poll path too — admits one probe
+// push per backoff step (half-open): the probe's success re-arms it, its
+// failure doubles the pause.
 func (s *Snippet) pushEligible() bool {
 	if !s.ActionPush || s.Delivery == DeliveryInterval {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.queue) != 0 {
-		return false
-	}
-	if !s.pushSuspended {
-		return true
-	}
-	return !s.pushResumeAt.After(time.Now())
+	return len(s.queue) == 0 && !s.push.suspended()
 }
 
 // PushAction sends one action to the agent's /action endpoint and waits for
@@ -520,33 +506,18 @@ func (s *Snippet) pushEligible() bool {
 // Callers wanting the automatic piggyback fallback should go through the
 // action entry points (ClickElement, PointerMove, ...) instead.
 func (s *Snippet) PushAction(act Action) error {
-	body := httpwire.AppendForm(make([]byte, 0, 64), []httpwire.FormField{
+	addr, req, err := s.newRequest("/action", []httpwire.FormField{
 		{Name: "actions", Value: EncodeActions([]Action{act})},
 	})
-	target := "/action"
-	if s.auth != nil {
-		target = s.auth.Sign("POST", target, body)
-	}
-	addr, err := s.agentAddr()
 	if err != nil {
 		return err
 	}
-	req := httpwire.NewRequest("POST", target)
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	if c := s.Browser.Jar.Header(browser.HostOf(s.agentURL() + "/")); c != "" {
-		req.Header.Set("Cookie", c)
-	}
-	req.Body = body
 	resp, err := s.Browser.Client.DoLane(addr, actionLane, req, actionPushTimeout)
 	if err != nil {
 		return fmt.Errorf("rcb-snippet: action push: %w", err)
 	}
 	if resp.StatusCode != 200 {
-		if reason := ParseCloseReason(resp.Header.Get(CloseReasonHeader)); reason != CloseNone {
-			return fmt.Errorf("rcb-snippet: action push: %w",
-				&CloseError{Reason: reason, Status: resp.StatusCode})
-		}
-		return fmt.Errorf("rcb-snippet: action push returned %d", resp.StatusCode)
+		return closeErr("action push", closeFromHeader(resp.Header).reason, resp.StatusCode)
 	}
 	s.mu.Lock()
 	s.stats.ActionsPushed++
@@ -656,6 +627,61 @@ func (s *Snippet) agentAddr() (string, error) {
 	return s.pollAddr, s.pollAddrErr
 }
 
+// newRequest builds one signed form POST to the current agent — the poll,
+// the action push and the channel upgrade all go out through it: the form
+// body, its HMAC signature when a key is set, and the rcbpid cookie.
+func (s *Snippet) newRequest(path string, fields []httpwire.FormField) (addr string, req *httpwire.Request, err error) {
+	if addr, err = s.agentAddr(); err != nil {
+		return "", nil, err
+	}
+	body := httpwire.AppendForm(make([]byte, 0, 64), fields)
+	if s.auth != nil {
+		path = s.auth.Sign("POST", path, body)
+	}
+	req = httpwire.NewRequest("POST", path)
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	if c := s.Browser.Jar.Header(browser.HostOf(s.agentURL() + "/")); c != "" {
+		req.Header.Set("Cookie", c)
+	}
+	req.Body = body
+	return addr, req, nil
+}
+
+// closeFromHeader reads the close-reason protocol off an HTTP answer: the
+// header spelling of the closeSignal a FrameClose payload carries.
+func closeFromHeader(h httpwire.Header) closeSignal {
+	return closeSignal{
+		reason:   ParseCloseReason(h.Get(CloseReasonHeader)),
+		retry:    parseRetryAfterMS(h.Get(RetryAfterHeader)),
+		relocate: h.Get(RelocateHeader),
+	}
+}
+
+// noteCloseLocked records a close whichever transport delivered it: the
+// reason, the server-assigned retry interval (the floor for the next
+// delay), and for MOVED the address the next Rejoin follows — exactly once.
+// Routing the close (rejoin, degrade, end) stays with the caller.
+func (s *Snippet) noteCloseLocked(cs closeSignal) {
+	if cs.reason != CloseNone {
+		s.stats.LastCloseReason = cs.reason
+	}
+	if cs.retry > 0 {
+		s.retryAfter = cs.retry
+	}
+	if cs.reason == CloseMoved && cs.relocate != "" {
+		s.relocateTo = normalizeAgentURL(cs.relocate)
+	}
+}
+
+// closeErr is the error a refused exchange surfaces: a CloseError when the
+// agent gave a reason, the bare status otherwise.
+func closeErr(what string, reason CloseReason, status int) error {
+	if reason == CloseNone {
+		return fmt.Errorf("rcb-snippet: %s returned %d", what, status)
+	}
+	return fmt.Errorf("rcb-snippet: %s: %w", what, &CloseError{Reason: reason, Status: status})
+}
+
 // normalizeAgentURL turns a bare Rcb-Relocate address into an agent URL.
 func normalizeAgentURL(addr string) string {
 	if strings.Contains(addr, "://") {
@@ -732,68 +758,34 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 		fields = append(fields, httpwire.FormField{Name: "wait", Value: strconv.FormatInt(wait.Milliseconds(), 10)})
 		readTimeout = wait + longPollReadSlack
 	}
-	body := httpwire.AppendForm(make([]byte, 0, 64), fields)
-	target := "/poll"
-	if s.auth != nil {
-		target = s.auth.Sign("POST", target, body)
-	}
-	addr, err := s.agentAddr()
-	if err != nil {
-		return false, err
-	}
-	req := httpwire.NewRequest("POST", target)
-	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
-	if c := s.Browser.Jar.Header(browser.HostOf(s.agentURL() + "/")); c != "" {
-		req.Header.Set("Cookie", c)
-	}
-	req.Body = body
 	pollStart := time.Now()
-	resp, err := s.Browser.Client.DoTimeout(addr, req, readTimeout)
-	if err != nil {
+	addr, req, err := s.newRequest("/poll", fields)
+	var resp *httpwire.Response
+	if err == nil {
+		resp, err = s.Browser.Client.DoTimeout(addr, req, readTimeout)
+	}
+	if err != nil || resp.StatusCode != 200 {
 		// Failed polls requeue their actions so interaction is not lost on
 		// a transient drop. Replays of actions the agent did merge before
 		// the failure are absorbed by its (CID, CSeq) filter.
 		s.mu.Lock()
+		defer s.mu.Unlock()
 		s.queue = append(actions, s.queue...)
 		s.stats.PollFailures++
-		s.mu.Unlock()
-		return false, fmt.Errorf("rcb-snippet: poll: %w", err)
-	}
-	if resp.StatusCode != 200 {
-		s.mu.Lock()
-		s.queue = append(actions, s.queue...)
-		s.stats.PollFailures++
-		if ra := parseRetryAfterMS(resp.Header.Get(RetryAfterHeader)); ra > 0 {
-			// A server-assigned interval on a terminal answer is the floor
-			// for the retry delay, exactly as on shed responses.
-			s.retryAfter = ra
+		if err != nil {
+			return false, fmt.Errorf("rcb-snippet: poll: %w", err)
 		}
-		reason := ParseCloseReason(resp.Header.Get(CloseReasonHeader))
-		if reason != CloseNone {
-			s.stats.LastCloseReason = reason
-			if reason.Retryable() {
-				s.rejoinNeeded = true
-			}
-			if reason == CloseMoved {
-				if addr := resp.Header.Get(RelocateHeader); addr != "" {
-					s.relocateTo = normalizeAgentURL(addr)
-				}
-			}
+		cs := closeFromHeader(resp.Header)
+		s.noteCloseLocked(cs)
+		if cs.reason != CloseNone && cs.reason.Retryable() {
+			s.rejoinNeeded = true
 		}
-		s.mu.Unlock()
-		if reason != CloseNone {
-			return false, fmt.Errorf("rcb-snippet: poll: %w",
-				&CloseError{Reason: reason, Status: resp.StatusCode})
-		}
-		return false, fmt.Errorf("rcb-snippet: poll returned %d", resp.StatusCode)
+		return false, closeErr("poll", cs.reason, resp.StatusCode)
 	}
 	// A completed poll proves the agent reachable: re-arm the action push
-	// channel if a failed push had suspended it.
+	// path if a failed push had suspended it.
 	s.mu.Lock()
-	s.pushSuspended = false
-	if s.pushBackoff != nil {
-		s.pushBackoff.Reset()
-	}
+	s.push.reset()
 	s.mu.Unlock()
 	// "If RCB-Agent indicates no new content with an empty response
 	// content, Ajax-Snippet simply ... send[s] a new polling request after a
@@ -806,89 +798,95 @@ func (s *Snippet) PollOnce() (updated bool, err error) {
 		// is under the threshold reads as refusing too — the resulting
 		// interval pacing is the right degradation there as well.
 		denied := wait > 0 && time.Since(pollStart) < parkDeniedThreshold
-		closing := ParseCloseReason(resp.Header.Get(CloseReasonHeader)) == CloseAgentClosing
-		retryAfter := parseRetryAfterMS(resp.Header.Get(RetryAfterHeader))
+		cs := closeFromHeader(resp.Header)
+		closing := cs.reason == CloseAgentClosing
 		s.mu.Lock()
 		s.stats.EmptyPolls++
 		// An explicit AgentClosing marker is authoritative: the push
 		// channel is gone however fast the answer arrived.
 		s.parkDenied = denied || (wait > 0 && closing)
 		s.agentClosing = closing
-		if closing {
-			s.stats.LastCloseReason = CloseAgentClosing
-		}
-		s.retryAfter = retryAfter
+		s.noteCloseLocked(cs)
 		s.mu.Unlock()
 		return false, nil
 	}
-	if MessageIsDelta(resp.Body) {
-		return s.handleDeltaResponse(resp.Body, ts)
-	}
-	content, err := Unmarshal(resp.Body)
-	if err != nil {
-		return false, fmt.Errorf("rcb-snippet: bad response content: %w", err)
-	}
-	for _, act := range content.UserActions {
-		if s.OnUserAction != nil {
-			s.OnUserAction(act)
-		}
-	}
-	if !content.HasDocument {
-		return false, nil
-	}
-	if err := s.ApplyContent(content); err != nil {
-		return false, err
-	}
-	s.mu.Lock()
-	s.docTime = content.DocTime
-	s.stats.ContentPolls++
-	s.mu.Unlock()
-	return true, nil
+	return s.applyMessage(resp.Body)
 }
 
-// handleDeltaResponse applies an incremental deltaContent answer: mirror
-// actions are dispatched as usual, then the patch scripts are applied in
-// place — no payload re-parse. The base check guards the multi-version
-// ring's contract: whichever retained build the agent diffed against must
-// be exactly the docTime this snippet acknowledged. Any failure (codec
-// error, base mismatch, patch that does not resolve) abandons the delta and
-// resets the acknowledged timestamp to zero, so the very next poll fetches
-// a full snapshot and rebuilds from scratch: the participant can render
-// stale for one round trip but can never stay diverged.
-func (s *Snippet) handleDeltaResponse(body []byte, ts int64) (bool, error) {
-	d, err := UnmarshalDelta(body)
-	if err != nil {
-		s.desync()
-		return false, fmt.Errorf("rcb-snippet: bad delta content: %w (resyncing)", err)
+// applyMessage applies one content message from the agent, whichever
+// transport carried it — a poll response, a content frame or a delta frame:
+// decode (full newContent or incremental deltaContent), hand the mirrored
+// actions to OnUserAction, apply the document and advance the acknowledged
+// docTime. It reports whether a document was applied; a message carrying
+// only mirrored actions applies nothing.
+//
+// A delta must be based on exactly the docTime this snippet acknowledged
+// (the multi-version ring's contract). Any failure — codec error, base
+// mismatch, an apply that does not resolve — resets the acknowledged
+// timestamp to zero, so the next poll (or the channel's 0-ack) fetches a
+// full snapshot and rebuilds from scratch: the participant can render stale
+// for one round trip but can never stay diverged.
+func (s *Snippet) applyMessage(body []byte) (bool, error) {
+	var (
+		mirrored []Action
+		docTime  int64
+		base     int64 = -1 // acknowledged docTime a delta patches; -1 for full content
+		apply    func(*dom.Document) error
+	)
+	if MessageIsDelta(body) {
+		d, err := UnmarshalDelta(body)
+		if err != nil {
+			return s.resync(fmt.Errorf("bad delta content: %w", err))
+		}
+		mirrored, docTime, base = d.UserActions, d.DocTime, d.BaseDocTime
+		apply = func(doc *dom.Document) error { return s.memo.ApplyDelta(doc, d) }
+	} else {
+		c, err := Unmarshal(body)
+		if err != nil {
+			return s.resync(fmt.Errorf("bad response content: %w", err))
+		}
+		mirrored, docTime = c.UserActions, c.DocTime
+		if c.HasDocument {
+			apply = func(doc *dom.Document) error { return s.memo.Apply(doc, c) }
+		}
 	}
-	for _, act := range d.UserActions {
-		if s.OnUserAction != nil {
+	if s.OnUserAction != nil {
+		for _, act := range mirrored {
 			s.OnUserAction(act)
 		}
 	}
-	if d.BaseDocTime != ts {
-		s.desync()
-		return false, fmt.Errorf("rcb-snippet: delta base %d does not match acknowledged %d (resyncing)", d.BaseDocTime, ts)
+	if apply == nil {
+		return false, nil
+	}
+	if acked := s.DocTime(); base >= 0 && base != acked {
+		return s.resync(fmt.Errorf("delta base %d does not match acknowledged %d", base, acked))
 	}
 	start := time.Now()
-	err = s.Browser.ApplyMutation(func(doc *dom.Document) error {
-		return s.memo.ApplyDelta(doc, d)
-	})
-	apply := time.Since(start)
-	if err != nil {
-		s.desync()
-		s.mu.Lock()
-		s.stats.DeltaFailures++
-		s.mu.Unlock()
-		return false, fmt.Errorf("rcb-snippet: apply delta: %w (resyncing)", err)
-	}
+	err := s.Browser.ApplyMutation(apply)
+	elapsed := time.Since(start)
 	s.mu.Lock()
-	s.docTime = d.DocTime
-	s.stats.LastApplyTime = apply
+	if err != nil {
+		if base >= 0 {
+			s.stats.DeltaFailures++
+		}
+		s.mu.Unlock()
+		return s.resync(fmt.Errorf("apply content: %w", err))
+	}
+	s.docTime = docTime
+	s.stats.LastApplyTime = elapsed
 	s.stats.ContentPolls++
-	s.stats.DeltaPolls++
+	if base >= 0 {
+		s.stats.DeltaPolls++
+	}
 	s.mu.Unlock()
 	return true, s.fetchContentObjects()
+}
+
+// resync abandons a content message that could not be applied: the sync
+// state is reset (desync) and the error says so.
+func (s *Snippet) resync(err error) (bool, error) {
+	s.desync()
+	return false, fmt.Errorf("rcb-snippet: %w (resyncing)", err)
 }
 
 // desync forgets the acknowledged document timestamp: the next poll reports
@@ -1222,11 +1220,8 @@ func (s *Snippet) Run(stop <-chan struct{}, errf func(error)) {
 					return // the agent refused re-admission for good
 				}
 				s.mu.Lock()
-				_, _, join := s.backoffsLocked()
-				d := join.Next()
-				if s.retryAfter > d {
-					d = s.retryAfter // server-assigned pacing floors the rejoin delay too
-				}
+				_, join := s.backoffsLocked()
+				d := max(join.Next(), s.retryAfter) // server-assigned pacing floors the rejoin delay too
 				s.mu.Unlock()
 				resetTimer(timer, d)
 				continue
@@ -1247,7 +1242,7 @@ func (s *Snippet) Run(stop <-chan struct{}, errf func(error)) {
 			}
 			// The channel ended (refused, lost, or closed with a reason);
 			// the next iteration rejoins if needed, or rides the long-poll
-			// fallback until duplexUntil re-admits an upgrade attempt.
+			// fallback until the channel breaker re-admits an upgrade attempt.
 			resetTimer(timer, s.duplexDelay())
 			continue
 		}
@@ -1270,7 +1265,7 @@ func (s *Snippet) Run(stop <-chan struct{}, errf func(error)) {
 func (s *Snippet) runDelay(err error, interval time.Duration) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	poll, _, _ := s.backoffsLocked()
+	poll, _ := s.backoffsLocked()
 	var d time.Duration
 	switch {
 	case err != nil, s.agentClosing:
