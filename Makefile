@@ -9,8 +9,11 @@ test: build
 	$(GO) test ./...
 
 # cobench is its own module (replace rcb => ../), so the root ./... skips it.
+# The gofmt gate lists git-tracked files only, so the ignored .bench_build/
+# (Go caches included) is never scanned.
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	cd cobench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./...
 
 # Concurrency regression gate: the single-flight serve path (content and

@@ -66,9 +66,11 @@ const maxOutbox = 256
 //
 // Internal state is sharded across independent locks so the serve path
 // scales with participant count: the participant table (read-mostly, an
-// RWMutex plus per-participant locks), the object mapping table, the
-// prepared-content cache, the moderation queue, the docTime clock, and the
-// long-poll delivery hub each contend only with themselves.
+// RWMutex plus per-participant locks), the object mapping table, the build
+// cache (modeCache: full snapshots and deltas alike are preparedMsg values
+// written by one CDATA envelope writer, appendCDATA), the moderation queue,
+// the docTime clock, and the delivery hub each contend only with
+// themselves.
 type Agent struct {
 	// Browser is the host browser whose document is shared.
 	Browser *browser.Browser
@@ -96,11 +98,6 @@ type Agent struct {
 	// per distinct acked base) before fan-out. Zero disables coalescing. Set
 	// before serving traffic.
 	WakeDebounce time.Duration
-	// DisableDelta turns off incremental deltaContent responses: every
-	// content-carrying poll gets the full Figure 4 snapshot, as the paper
-	// specifies. Deltas are also skipped per poll unless the request opts in
-	// with a delta=1 field, so foreign interval-mode clients never see them.
-	DisableDelta bool
 	// DisableChannel refuses persistent-channel upgrades (POST /channel):
 	// every upgrade attempt gets the retry-carrying OVERCOMMITTED refusal and
 	// participants stay on the long-poll/interval tiers. An operator knob for
@@ -168,22 +165,10 @@ type Agent struct {
 	mapping map[string]string // agent path "/obj/tN" → absolute URL
 	tokens  map[string]string // absolute URL → agent path
 
-	// cmu guards the prepared-content cache and the single-flight guard:
-	// of N concurrent polls that observe a new document version, exactly
-	// one runs the Figure 3 pipeline; the rest block on its result. The
-	// delta cache rides the same lock: prevRing holds the last few replaced
-	// builds per mode, newest first (every member is a valid delta base, so
-	// a participant that skipped versions stays on the delta path), delta
-	// holds the encoded script per (base → current) pair — or a recorded
-	// "not worth it" — and deltaInflight single-flights each pair's
-	// computation so N concurrent delta-eligible polls on one pair cost one
-	// dom.Diff.
-	cmu           sync.Mutex
-	prepared      map[bool]*PreparedContent
-	inflight      map[bool]*contentCall
-	prevRing      map[bool][]*PreparedContent
-	delta         map[bool]map[int64]*deltaEntry
-	deltaInflight map[bool]map[int64]*deltaCall
+	// cmu guards the build cache, one modeCache per cache mode (see
+	// modeIndex). Every modeCache field is read and written under cmu only.
+	cmu   sync.Mutex
+	cache [2]modeCache
 
 	// amu guards the moderation queue and action sequencing.
 	amu       sync.Mutex
@@ -249,10 +234,6 @@ type Agent struct {
 
 	// shed holds the load-shedding ladder state (overload.go).
 	shed shedState
-
-	// buildHist remembers recent build docTimes per mode — the ruler the
-	// stale-reader reaper measures ack lag against. Guarded by cmu.
-	buildHist map[bool][]int64
 }
 
 // maxBuildHist bounds the per-mode build history; MaxAckLag beyond this is
@@ -267,19 +248,69 @@ const maxBuildHist = 64
 // retained builds stay a small multiple of one snapshot.
 const DefaultDeltaRingDepth = 4
 
-// deltaEntry records the delta decision for one (base → target) pair: d is
-// nil when a delta exists but was not worth sending (oversized, or the
-// top-level region set changed), so the question is not re-asked per poll.
-type deltaEntry struct {
-	base, target int64
-	d            *preparedDelta
+// modeCache is the build cache of one cache mode (§4.1.2: "the whole
+// response content generation procedure is executed only once for each new
+// document content, and the generated XML format response content is
+// reusable for multiple participant browsers"), full and delta messages
+// alike:
+//
+//   - cur is the current build. Of N concurrent polls that observe a new
+//     document version exactly one runs the Figure 3 pipeline (build, the
+//     single-flight call); the rest wait on its result.
+//   - ring holds the replaced builds, newest first, as delta bases: a
+//     participant acknowledging any of them — one that skipped versions —
+//     stays on the delta path.
+//   - deltas holds one call per acknowledged base for the (base → cur)
+//     pair, so N concurrent polls on one pair cost one dom.Diff: in flight
+//     until its done channel closes, the cached verdict after — the shared
+//     delta message, or nil when none is worth sending.
+//   - hist remembers recent build docTimes, oldest first: the ruler the
+//     stale-reader reaper measures ack lag against.
+type modeCache struct {
+	cur    *PreparedContent
+	build  *contentCall
+	ring   []*PreparedContent
+	deltas map[int64]*deltaCall
+	hist   []int64
 }
 
-// deltaCall is one in-flight delta computation concurrent polls wait on.
+// modeIndex maps a cache mode to its Agent.cache slot.
+func modeIndex(cacheMode bool) int {
+	if cacheMode {
+		return 1
+	}
+	return 0
+}
+
+// install makes prep the current build. With keepBases the replaced build
+// joins the front of the delta-base ring, capped at DefaultDeltaRingDepth;
+// without, the ring is released: deltas are off, and rotating would hoard
+// the very memory the shed ladder's ShedNoDelta rung exists to free. Either
+// way every delta call targeted the replaced build and is dropped. prep
+// joins the build history.
+func (mc *modeCache) install(prep *PreparedContent, keepBases bool) {
+	if mc.cur != nil {
+		if keepBases {
+			ring := mc.ring[:min(len(mc.ring), DefaultDeltaRingDepth-1)]
+			mc.ring = append([]*PreparedContent{mc.cur}, ring...)
+		} else {
+			mc.ring = nil
+		}
+		clear(mc.deltas)
+	}
+	mc.cur = prep
+	mc.hist = append(mc.hist, prep.docTime)
+	if len(mc.hist) > maxBuildHist {
+		mc.hist = mc.hist[len(mc.hist)-maxBuildHist:]
+	}
+}
+
+// deltaCall is one (base → target) delta computation; msg is set before
+// done closes.
 type deltaCall struct {
-	base, target int64
-	done         chan struct{}
-	d            *preparedDelta
+	target int64
+	done   chan struct{}
+	msg    *preparedMsg
 }
 
 // contentCall is one in-flight BuildContent execution that concurrent polls
@@ -291,14 +322,63 @@ type contentCall struct {
 	err     error
 }
 
-// PreparedContent caches one generated message per (document version,
-// cache mode): "the whole response content generation procedure is executed
-// only once for each new document content, and the generated XML format
-// response content is reusable for multiple participant browsers" (§4.1.2).
-type PreparedContent struct {
-	version int64
+// preparedMsg is one encoded message shared by every recipient — a full
+// Figure 4 snapshot or a deltaContent script: its bytes, the ready-to-send
+// response wrapping them, and the splice offset of its closing tag, where
+// per-participant userActions are inserted by two appends, never a
+// re-marshal. It is immutable and WriteResponse only reads, so one response
+// object fans out to every participant without a per-poll allocation.
+type preparedMsg struct {
 	docTime int64
 	xml     []byte
+	splice  int
+	resp    *httpwire.Response
+}
+
+// newPreparedMsg wraps a marshaled message ending in closeTag.
+func newPreparedMsg(docTime int64, xml []byte, closeTag string) preparedMsg {
+	return preparedMsg{
+		docTime: docTime,
+		xml:     xml,
+		splice:  len(xml) - len(closeTag),
+		resp:    httpwire.NewResponse(200, "application/xml", xml),
+	}
+}
+
+// XML returns the marshaled message. The slice is shared across
+// participants and must not be mutated.
+func (m *preparedMsg) XML() []byte { return m.xml }
+
+// DocTime returns the message timestamp.
+func (m *preparedMsg) DocTime() int64 { return m.docTime }
+
+// WithUserActions returns the message with a userActions element for one
+// participant spliced in before the closing tag. The shared payload is
+// never re-rendered: the result is the shared bytes around one freshly
+// encoded actions element.
+func (m *preparedMsg) WithUserActions(actions []Action) []byte {
+	if len(actions) == 0 {
+		return m.xml
+	}
+	out := make([]byte, 0, len(m.xml)+spliceSizeHint(actions))
+	out = append(out, m.xml[:m.splice]...)
+	out = appendUserActions(out, actions)
+	out = append(out, m.xml[m.splice:]...)
+	return out
+}
+
+// spliceSizeHint estimates the encoded size of a userActions element so the
+// splice buffer is sized in one allocation.
+func spliceSizeHint(actions []Action) int {
+	return 48 + 96*len(actions)
+}
+
+// PreparedContent is one mode's build of one document version: the encoded
+// Figure 4 message every participant is served, plus what the delta path
+// needs to diff against it.
+type PreparedContent struct {
+	preparedMsg
+	version int64
 	// content is the extracted message (head children and region payloads):
 	// the delta path compares heads through it and reconstructs the
 	// participant-equivalent tree from it (participantTree).
@@ -307,22 +387,8 @@ type PreparedContent struct {
 	// this build — see participantTree. Only the delta path pays for it.
 	normOnce sync.Once
 	normTree *dom.Node
-	// splice is the offset of the closing </newContent> tag: per-participant
-	// userActions are inserted here by two appends, never a re-marshal.
-	splice  int
-	genTime time.Duration
-	// resp is the ready-to-send response wrapping xml. PreparedContent is
-	// immutable and WriteResponse only reads, so one response object fans
-	// out to every participant without a per-poll header allocation.
-	resp *httpwire.Response
+	genTime  time.Duration
 }
-
-// XML returns the marshaled Figure 4 message. The slice is shared across
-// participants and must not be mutated.
-func (p *PreparedContent) XML() []byte { return p.xml }
-
-// DocTime returns the message timestamp.
-func (p *PreparedContent) DocTime() int64 { return p.docTime }
 
 // GenTime returns how long the Figure 3 pipeline took to produce this
 // content — the paper's M5 metric.
@@ -341,44 +407,21 @@ func (p *PreparedContent) GenTime() time.Duration { return p.genTime }
 func (p *PreparedContent) participantTree() *dom.Node {
 	p.normOnce.Do(func() {
 		root := dom.NewElement("html")
-		add := func(tag string, te *TopElement) {
+		for i, field := range p.content.regionFields() {
+			te := *field
 			if te == nil {
-				return
+				continue
 			}
-			el := dom.NewElement(tag)
+			el := dom.NewElement(regions[i].tag)
 			el.Attrs = append([]dom.Attr(nil), te.Attrs...)
 			if te.Inner != "" {
 				dom.SetInnerHTML(el, te.Inner)
 			}
 			root.AppendChild(el)
 		}
-		add("body", p.content.Body)
-		add("frameset", p.content.FrameSet)
-		add("noframes", p.content.NoFrames)
 		p.normTree = root
 	})
 	return p.normTree
-}
-
-// WithUserActions returns the cached message with a userActions element for
-// one participant spliced in before the closing tag. The cached document
-// payload is never re-rendered: the result is the shared bytes around one
-// freshly encoded actions element.
-func (p *PreparedContent) WithUserActions(actions []Action) []byte {
-	if len(actions) == 0 {
-		return p.xml
-	}
-	out := make([]byte, 0, len(p.xml)+spliceSizeHint(actions))
-	out = append(out, p.xml[:p.splice]...)
-	out = appendUserActions(out, actions)
-	out = append(out, p.xml[p.splice:]...)
-	return out
-}
-
-// spliceSizeHint estimates the encoded size of a userActions element so the
-// splice buffer is sized in one allocation.
-func spliceSizeHint(actions []Action) int {
-	return 48 + 96*len(actions)
 }
 
 // DefaultMaxPollWait is the long-poll hang cap when Agent.MaxPollWait is
@@ -398,14 +441,8 @@ func NewAgent(b *browser.Browser, addr string) *Agent {
 		participants:  make(map[string]*participantState),
 		mapping:       make(map[string]string),
 		tokens:        make(map[string]string),
-		prepared:      make(map[bool]*PreparedContent),
-		inflight:      make(map[bool]*contentCall),
-		prevRing:      make(map[bool][]*PreparedContent),
-		delta:         make(map[bool]map[int64]*deltaEntry),
-		deltaInflight: make(map[bool]map[int64]*deltaCall),
 		closedReasons: make(map[string]CloseReason),
 		dedup:         make(map[string]*dedupState),
-		buildHist:     make(map[bool][]int64),
 		hub:           newDeliveryHub(),
 	}
 	// The trailing edge of a debounced wake runs on its own timer goroutine
@@ -899,21 +936,17 @@ func (a *Agent) deliver(p *participantState, ts int64, deltaOK bool) (deliverOut
 	}
 	if prep != nil && prep.docTime > ts {
 		// ts == 0 is a first delivery: the participant has no base to patch.
-		// The shed ladder's first step turns deltas off — the full snapshot
-		// costs bandwidth but releases the retained delta-base ring.
-		if deltaOK && !a.DisableDelta && ts > 0 && a.ShedLevel() < ShedNoDelta {
-			if d := a.deltaFor(mode, ts, prep); d != nil {
+		msg, isDelta := &prep.preparedMsg, false
+		if deltaOK && ts > 0 && a.deltasOn() {
+			if d := a.deltaFor(mode, ts); d != nil {
 				a.deltasServed.Add(1)
-				if len(outbox) == 0 {
-					return deliverOut{resp: d.resp, body: d.xml, docTime: d.docTime, isDelta: true, hasNew: true}, nil
-				}
-				return deliverOut{body: d.WithUserActions(outbox), docTime: d.docTime, isDelta: true, hasNew: true, actions: outbox}, nil
+				msg, isDelta = d, true
 			}
 		}
 		if len(outbox) == 0 {
-			return deliverOut{resp: prep.resp, body: prep.xml, docTime: prep.docTime, hasNew: true}, nil
+			return deliverOut{resp: msg.resp, body: msg.xml, docTime: msg.docTime, isDelta: isDelta, hasNew: true}, nil
 		}
-		return deliverOut{body: prep.WithUserActions(outbox), docTime: prep.docTime, hasNew: true, actions: outbox}, nil
+		return deliverOut{body: msg.WithUserActions(outbox), docTime: msg.docTime, isDelta: isDelta, hasNew: true, actions: outbox}, nil
 	}
 	if len(outbox) > 0 {
 		nc := &NewContent{DocTime: ts, UserActions: outbox}
@@ -1132,9 +1165,9 @@ func (a *Agent) LatestDocTime() int64 {
 	a.cmu.Lock()
 	defer a.cmu.Unlock()
 	var latest int64
-	for _, prep := range a.prepared {
-		if prep != nil && prep.docTime > latest {
-			latest = prep.docTime
+	for i := range a.cache {
+		if cur := a.cache[i].cur; cur != nil && cur.docTime > latest {
+			latest = cur.docTime
 		}
 	}
 	return latest
@@ -1152,56 +1185,31 @@ func (a *Agent) contentForMode(cacheMode bool) (*PreparedContent, error) {
 		return nil, nil
 	}
 	a.cmu.Lock()
+	mc := &a.cache[modeIndex(cacheMode)]
 	// >= rather than ==: a poll that read the version before a concurrent
 	// bump stored newer content must take the cache, not rebuild it.
-	if prep := a.prepared[cacheMode]; prep != nil && prep.version >= version {
+	if cur := mc.cur; cur != nil && cur.version >= version {
 		a.cmu.Unlock()
-		return prep, nil
+		return cur, nil
 	}
-	if call := a.inflight[cacheMode]; call != nil && call.version >= version {
+	if call := mc.build; call != nil && call.version >= version {
 		a.cmu.Unlock()
 		<-call.done
 		return call.prep, call.err
 	}
 	call := &contentCall{version: version, done: make(chan struct{})}
-	a.inflight[cacheMode] = call
+	mc.build = call
 	a.cmu.Unlock()
 
 	prep, err := a.BuildContent(cacheMode)
 	a.cmu.Lock()
 	var lagFloor int64
 	if err == nil {
-		if cur := a.prepared[cacheMode]; cur == nil || prep.version > cur.version {
-			if cur != nil {
-				if !a.DisableDelta && a.ShedLevel() < ShedNoDelta {
-					// The replaced build joins the front of the delta-base
-					// ring (newest first), capped at DefaultDeltaRingDepth;
-					// every cached delta script targeted an old pair and is
-					// stale. With deltas off nothing consumes the bases, so
-					// don't multiply the retained payload.
-					ring := a.prevRing[cacheMode]
-					ring = ring[:min(len(ring), DefaultDeltaRingDepth-1)]
-					a.prevRing[cacheMode] = append([]*PreparedContent{cur}, ring...)
-					delete(a.delta, cacheMode)
-				} else if len(a.prevRing[cacheMode]) > 0 || len(a.delta[cacheMode]) > 0 {
-					// Deltas are off — statically or because the shed ladder
-					// climbed to ShedNoDelta. Rotating would hoard the very
-					// memory the ladder rung exists to free, so release the
-					// ring instead and keep it empty until deltas return.
-					delete(a.prevRing, cacheMode)
-					delete(a.delta, cacheMode)
-				}
-			}
-			a.prepared[cacheMode] = prep
-			// Record the build for the stale-reader ruler and compute the
-			// oldest docTime a reader may still acknowledge.
-			hist := append(a.buildHist[cacheMode], prep.docTime)
-			if len(hist) > maxBuildHist {
-				hist = hist[len(hist)-maxBuildHist:]
-			}
-			a.buildHist[cacheMode] = hist
-			if a.MaxAckLag > 0 && len(hist) > a.MaxAckLag {
-				lagFloor = hist[len(hist)-1-a.MaxAckLag]
+		if cur := mc.cur; cur == nil || prep.version > cur.version {
+			mc.install(prep, a.deltasOn())
+			// The oldest docTime a reader may still acknowledge.
+			if a.MaxAckLag > 0 && len(mc.hist) > a.MaxAckLag {
+				lagFloor = mc.hist[len(mc.hist)-1-a.MaxAckLag]
 			}
 		} else {
 			// A racing build already stored this version or a newer one:
@@ -1211,8 +1219,8 @@ func (a *Agent) contentForMode(cacheMode bool) (*PreparedContent, error) {
 			prep = cur
 		}
 	}
-	if a.inflight[cacheMode] == call {
-		delete(a.inflight, cacheMode)
+	if mc.build == call {
+		mc.build = nil
 	}
 	a.cmu.Unlock()
 	if lagFloor > 0 {
@@ -1277,15 +1285,11 @@ func (a *Agent) BuildContent(cacheMode bool) (*PreparedContent, error) {
 	if err != nil {
 		return nil, err
 	}
-	xml := nc.Marshal()
 	return &PreparedContent{
-		version: version,
-		docTime: nc.DocTime,
-		xml:     xml,
-		content: nc,
-		splice:  len(xml) - len(closeNewContent),
-		genTime: time.Since(start),
-		resp:    httpwire.NewResponse(200, "application/xml", xml),
+		preparedMsg: newPreparedMsg(nc.DocTime, nc.Marshal(), closeNewContent),
+		version:     version,
+		content:     nc,
+		genTime:     time.Since(start),
 	}, nil
 }
 
@@ -1298,57 +1302,46 @@ func (a *Agent) DiffBuilds() int64 { return a.diffBuilds.Load() }
 // message instead of the full snapshot.
 func (a *Agent) DeltasServed() int64 { return a.deltasServed.Load() }
 
-// deltaFor returns the shared delta response for a poll acknowledging base,
-// or nil when the poll must fall back to the full snapshot. A delta exists
-// between any delta-base ring member and the current build; each (base,
-// target) pair's computation is single-flight, and a "not worth it" outcome
-// (oversized script, top-level region change) is cached so the diff runs
-// once per pair no matter how many mixed-base polls race on it.
-func (a *Agent) deltaFor(cacheMode bool, base int64, prep *PreparedContent) *preparedDelta {
+// deltaFor returns the shared delta message from base to the mode's current
+// build, or nil when the poll must fall back to the full snapshot: base is
+// not in the delta-base ring, or the pair's verdict is "not worth it"
+// (oversized script, top-level region change). Each (base, current) pair is
+// diffed once, however many polls and channels ask for it concurrently. A
+// caller holding an older build still gets the delta to the current one: it
+// is newer content at no extra diff.
+func (a *Agent) deltaFor(cacheMode bool, base int64) *preparedMsg {
 	a.cmu.Lock()
+	mc := &a.cache[modeIndex(cacheMode)]
 	var prev *PreparedContent
-	for _, cand := range a.prevRing[cacheMode] {
+	for _, cand := range mc.ring {
 		if cand.docTime == base {
 			prev = cand
 			break
 		}
 	}
-	if prev == nil || prep.content == nil || prev.content == nil {
+	cur := mc.cur
+	if prev == nil || cur.content == nil || prev.content == nil {
 		a.cmu.Unlock()
 		return nil // base not retained: fell off the ring, or agent restarted
 	}
-	if e := a.delta[cacheMode][base]; e != nil && e.target == prep.docTime {
-		a.cmu.Unlock()
-		return e.d
-	}
-	if call := a.deltaInflight[cacheMode][base]; call != nil && call.target == prep.docTime {
+	if call := mc.deltas[base]; call != nil && call.target == cur.docTime {
 		a.cmu.Unlock()
 		<-call.done
-		return call.d
+		return call.msg
 	}
-	call := &deltaCall{base: base, target: prep.docTime, done: make(chan struct{})}
-	if a.deltaInflight[cacheMode] == nil {
-		a.deltaInflight[cacheMode] = make(map[int64]*deltaCall)
+	call := &deltaCall{target: cur.docTime, done: make(chan struct{})}
+	if mc.deltas == nil {
+		mc.deltas = make(map[int64]*deltaCall)
 	}
-	a.deltaInflight[cacheMode][base] = call
+	mc.deltas[base] = call
 	a.cmu.Unlock()
 
-	d := a.buildDelta(prev, prep)
-	a.cmu.Lock()
-	// Store only while still the registered call: a version rotation during
-	// the diff may have started a newer pair's computation on this base, and
-	// a stale (base, target) entry must not clobber its fresh cached result.
-	if a.deltaInflight[cacheMode][base] == call {
-		if a.delta[cacheMode] == nil {
-			a.delta[cacheMode] = make(map[int64]*deltaEntry)
-		}
-		a.delta[cacheMode][base] = &deltaEntry{base: call.base, target: call.target, d: d}
-		delete(a.deltaInflight[cacheMode], base)
-	}
-	a.cmu.Unlock()
-	call.d = d
+	// The call writes its result into itself, never into the map: a build
+	// installed meanwhile drops the registration, and the stale pair's
+	// waiters still get their answer.
+	call.msg = a.buildDelta(prev, cur)
 	close(call.done)
-	return d
+	return call.msg
 }
 
 // DeltaBasesRetained reports how many replaced builds are currently held as
@@ -1357,24 +1350,30 @@ func (a *Agent) DeltaBasesRetained() int {
 	a.cmu.Lock()
 	defer a.cmu.Unlock()
 	n := 0
-	for _, ring := range a.prevRing {
-		n += len(ring)
+	for i := range a.cache {
+		n += len(a.cache[i].ring)
 	}
 	return n
 }
 
-// releaseDeltaState drops the delta-base ring, the cached delta scripts, and
-// any in-flight registrations. Called when the shed ladder climbs to
-// ShedNoDelta: deliver stops serving deltas at that rung, so the retained
-// builds are pure memory pressure. In-flight diffs finish and hand their
-// waiters a result, but the cleared registration keeps them from re-caching.
+// releaseDeltaState drops the delta-base ring and every delta call. Called
+// when the shed ladder climbs to ShedNoDelta: deliver stops serving deltas
+// at that rung, so the retained builds are pure memory pressure. In-flight
+// diffs finish and hand their waiters a result, but nothing caches it.
 func (a *Agent) releaseDeltaState() {
 	a.cmu.Lock()
-	clear(a.prevRing)
-	clear(a.delta)
-	clear(a.deltaInflight)
+	for i := range a.cache {
+		a.cache[i].ring = nil
+		clear(a.cache[i].deltas)
+	}
 	a.cmu.Unlock()
 }
+
+// deltasOn reports whether deltas are served and their bases retained: the
+// shed ladder's first rung turns them off. It reads the measured ladder, not
+// the floor a handover's quiesce forces: that drains parked polls, it is not
+// load, and a handover that rolls back must find its delta bases intact.
+func (a *Agent) deltasOn() bool { return a.measuredShedLevel() < ShedNoDelta }
 
 // warmWakeDeltas is the delivery hub's preWake hook: it runs on the trailing
 // edge of a debounced wake, after the subscribers are collected but before
@@ -1383,7 +1382,7 @@ func (a *Agent) releaseDeltaState() {
 // thousand-strong fleet hits a warm cache instead of racing all its
 // deliveries on the first diff of each pair.
 func (a *Agent) warmWakeDeltas(woken []subscriber) {
-	if a.DisableDelta || a.ShedLevel() >= ShedNoDelta {
+	if !a.deltasOn() {
 		return
 	}
 	a.smu.RLock()
@@ -1413,12 +1412,9 @@ func (a *Agent) warmWakeDeltas(woken []subscriber) {
 		if err != nil || prep == nil || prep.docTime <= k.base {
 			continue
 		}
-		a.deltaFor(k.mode, k.base, prep)
+		a.deltaFor(k.mode, k.base)
 	}
 }
-
-// deltaRegionTags are the top-level regions a delta can patch.
-var deltaRegionTags = [...]string{"body", "frameset", "noframes"}
 
 // buildDelta computes and encodes the edit script between two consecutive
 // builds. Diffs run between the builds' participant-equivalent trees (see
@@ -1427,48 +1423,33 @@ var deltaRegionTags = [...]string{"body", "frameset", "noframes"}
 // exists: the top-level region set changed (the snippet's cleanup step
 // handles that transition on the full path), or the encoded message is not
 // smaller than the full snapshot.
-func (a *Agent) buildDelta(prev, cur *PreparedContent) *preparedDelta {
+func (a *Agent) buildDelta(prev, cur *PreparedContent) *preparedMsg {
 	a.diffBuilds.Add(1)
 	d := &DeltaContent{DocTime: cur.docTime, BaseDocTime: prev.docTime}
 	if !headChildrenEqual(prev.content.Head, cur.content.Head) {
 		d.HasHead = true
 		d.Head = cur.content.Head
 	}
-	if (prev.content.Body == nil) != (cur.content.Body == nil) ||
-		(prev.content.FrameSet == nil) != (cur.content.FrameSet == nil) ||
-		(prev.content.NoFrames == nil) != (cur.content.NoFrames == nil) {
-		return nil
+	prevTops, curTops := prev.content.regionFields(), cur.content.regionFields()
+	for i := range regions {
+		if (*prevTops[i] == nil) != (*curTops[i] == nil) {
+			return nil
+		}
 	}
 	pt, ct := prev.participantTree(), cur.participantTree()
-	for _, tag := range deltaRegionTags {
-		po, co := pt.FirstChildElement(tag), ct.FirstChildElement(tag)
-		if po == nil || co == nil {
-			continue // absent on both sides, per the presence check above
-		}
-		patches := dom.Diff(po, co)
-		if len(patches) == 0 {
-			continue
-		}
-		switch tag {
-		case "body":
-			d.Body = patches
-		case "frameset":
-			d.FrameSet = patches
-		default:
-			d.NoFrames = patches
+	for i, patches := range d.patchFields() {
+		// A region absent on one side is absent on both, per the check above.
+		po, co := pt.FirstChildElement(regions[i].tag), ct.FirstChildElement(regions[i].tag)
+		if po != nil && co != nil {
+			*patches = dom.Diff(po, co)
 		}
 	}
 	xml := d.Marshal()
 	if len(xml) >= len(cur.xml) {
 		return nil // oversized: the snapshot is cheaper to ship and apply
 	}
-	return &preparedDelta{
-		baseDocTime: prev.docTime,
-		docTime:     cur.docTime,
-		xml:         xml,
-		splice:      len(xml) - len(closeDeltaContent),
-		resp:        httpwire.NewResponse(200, "application/xml", xml),
-	}
+	msg := newPreparedMsg(cur.docTime, xml, closeDeltaContent)
+	return &msg
 }
 
 // nextDocTimeLocked issues the timestamp for a document version: wall-clock

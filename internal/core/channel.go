@@ -211,12 +211,11 @@ func (a *Agent) serveChannelUpgrade(req *httpwire.Request) *httpwire.Response {
 	if a.participant(f.pid) == nil {
 		return a.disconnectedResponse(f.pid)
 	}
-	deltaOK := f.deltaOK && !a.DisableDelta
 	resp := httpwire.NewResponse(101, "", nil)
 	resp.Header.Set("Upgrade", "rcb-channel/1")
 	resp.Header.Set("Connection", "Upgrade")
 	resp.Hijack = func(conn net.Conn, br *bufio.Reader) {
-		a.runChannel(httpwire.NewChannelConn(conn, br), f.pid, f.ts, deltaOK)
+		a.runChannel(httpwire.NewChannelConn(conn, br), f.pid, f.ts, f.deltaOK)
 	}
 	a.logf("rcb-agent: participant %s upgraded to persistent channel", f.pid)
 	return resp

@@ -288,7 +288,7 @@ func TestRacingBuildsOneDocTimePerVersion(t *testing.T) {
 		waitUntil(t, "racer A's build in flight", func() bool {
 			a.cmu.Lock()
 			defer a.cmu.Unlock()
-			return a.inflight[false] != nil
+			return a.cache[0].build != nil
 		})
 		race() // B
 		time.Sleep(time.Millisecond)
@@ -297,9 +297,9 @@ func TestRacingBuildsOneDocTimePerVersion(t *testing.T) {
 		close(handed)
 
 		a.cmu.Lock()
-		cur := a.prepared[false]
+		cur := a.cache[0].cur
 		retained := map[int64]bool{cur.docTime: true}
-		for _, b := range a.prevRing[false] {
+		for _, b := range a.cache[0].ring {
 			retained[b.docTime] = true
 		}
 		a.cmu.Unlock()

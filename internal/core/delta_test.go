@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rcb/internal/dom"
 	"rcb/internal/sites"
@@ -177,7 +178,7 @@ func TestDeltaWireBytesAreSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := w.agent.deltaFor(false, alice.DocTime(), prep)
+	d := w.agent.deltaFor(false, alice.DocTime())
 	if d == nil {
 		t.Fatal("no delta for a small edit")
 	}
@@ -316,11 +317,11 @@ func TestDeltaOversizedFallsBackToFull(t *testing.T) {
 	}
 	// The oversized verdict is cached: another delta query for the same
 	// (base, target) pair must return the recorded fallback, not re-diff.
-	prep, err := w.agent.contentForMode(false)
+	_, err = w.agent.contentForMode(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := w.agent.deltaFor(false, base, prep); d != nil {
+	if d := w.agent.deltaFor(false, base); d != nil {
 		t.Fatal("cached oversized verdict re-offered a delta")
 	}
 	if got := w.agent.DiffBuilds() - diffs0; got != 1 {
@@ -328,31 +329,19 @@ func TestDeltaOversizedFallsBackToFull(t *testing.T) {
 	}
 }
 
-// TestDeltaDisabledKnobs: both the agent-wide and snippet-side switches
-// force the paper's full-snapshot protocol.
+// TestDeltaDisabledKnobs: the snippet-side switch forces the paper's
+// full-snapshot protocol.
 func TestDeltaDisabledKnobs(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.DisableDelta = true })
+	w := newWorld(t, nil)
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
-	alice := w.join(t, "alice.lan")
-	alice.PollOnce()
-	hostEdit(t, w, 1)
-	if updated, err := alice.PollOnce(); err != nil || !updated {
-		t.Fatalf("updated=%v err=%v", updated, err)
-	}
-	if w.agent.DeltasServed() != 0 || alice.Stats().DeltaPolls != 0 {
-		t.Fatal("agent-side DisableDelta did not stick")
-	}
-
-	w2 := newWorld(t, nil)
-	w2.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
-	carol := w2.join(t, "carol.lan")
+	carol := w.join(t, "carol.lan")
 	carol.DisableDelta = true
 	carol.PollOnce()
-	hostEdit(t, w2, 1)
+	hostEdit(t, w, 1)
 	if updated, err := carol.PollOnce(); err != nil || !updated {
 		t.Fatalf("updated=%v err=%v", updated, err)
 	}
-	if w2.agent.DeltasServed() != 0 || carol.Stats().DeltaPolls != 0 {
+	if w.agent.DeltasServed() != 0 || carol.Stats().DeltaPolls != 0 {
 		t.Fatal("snippet-side DisableDelta did not stick")
 	}
 }
@@ -720,5 +709,127 @@ func TestDeltaMirrorActionSplice(t *testing.T) {
 	}
 	if len(mirrored) != 1 || mirrored[0].Kind != ActionMouseMove {
 		t.Fatalf("mirrored = %+v", mirrored)
+	}
+}
+
+// TestStaleDeltaCallNeverServedForNewerTarget: a (base → t1) delta call
+// still in flight when the build rotates to t2 is never handed to a poll
+// that needs (base → t2), and its late completion cannot displace the t2
+// result: the first t2 poll on that base runs one diff, and every later
+// participant on the same base is served from the cache.
+func TestStaleDeltaCallNeverServedForNewerTarget(t *testing.T) {
+	w := newWorld(t, nil)
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	alice := w.join(t, "alice.lan")
+	bob2 := w.join(t, "bob2.lan")
+	carol := w.join(t, "carol.lan")
+	for _, s := range []*Snippet{alice, bob2, carol} {
+		if _, err := s.PollOnce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := alice.DocTime()
+
+	hostEdit(t, w, 1)
+	t1, err := w.agent.contentForMode(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A (base → t1) diff that never finishes on its own.
+	stale := &deltaCall{target: t1.docTime, done: make(chan struct{})}
+	w.agent.cmu.Lock()
+	if w.agent.cache[0].deltas == nil {
+		w.agent.cache[0].deltas = make(map[int64]*deltaCall)
+	}
+	w.agent.cache[0].deltas[base] = stale
+	w.agent.cmu.Unlock()
+
+	hostEdit(t, w, 2)
+	diffs0, served0 := w.agent.DiffBuilds(), w.agent.DeltasServed()
+	poll := func(s *Snippet) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			updated, err := s.PollOnce()
+			if err == nil && !updated {
+				err = fmt.Errorf("poll carried no content")
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("poll on the stale pair's base waited on the stale call")
+		}
+		if st := s.Stats(); st.DeltaPolls != 1 || st.DeltaFailures != 0 {
+			t.Fatalf("delta polls = %d, failures = %d, want 1 and 0", st.DeltaPolls, st.DeltaFailures)
+		}
+	}
+
+	poll(alice)
+	t2 := alice.DocTime()
+	if t2 <= t1.docTime {
+		t.Fatalf("alice holds docTime %d, want a build newer than t1 %d", t2, t1.docTime)
+	}
+	if got := w.agent.DiffBuilds() - diffs0; got != 1 {
+		t.Fatalf("DiffBuilds advanced by %d for the (base → t2) pair, want 1", got)
+	}
+	want := hostBodyHTML(t, w, false)
+	if participantBodyHTML(t, alice) != want {
+		t.Fatal("the (base → t2) delta did not converge")
+	}
+
+	poll(bob2)
+	if got := w.agent.DiffBuilds() - diffs0; got != 1 {
+		t.Fatalf("second participant on the base re-diffed: DiffBuilds advanced by %d, want 1", got)
+	}
+
+	// The stale call completes; the (base → t2) result must survive it.
+	close(stale.done)
+	w.agent.cmu.Lock()
+	e := w.agent.cache[0].deltas[base]
+	w.agent.cmu.Unlock()
+	if e == nil || e.target != t2 || e.msg == nil {
+		t.Fatalf("cached entry for base %d after the stale call finished = %+v, want the t2 delta", base, e)
+	}
+	poll(carol)
+	if got := w.agent.DiffBuilds() - diffs0; got != 1 {
+		t.Fatalf("DiffBuilds advanced by %d after the stale call finished, want 1", got)
+	}
+	if got := w.agent.DeltasServed() - served0; got != 3 {
+		t.Fatalf("DeltasServed advanced by %d, want 3", got)
+	}
+	for _, s := range []*Snippet{bob2, carol} {
+		if participantBodyHTML(t, s) != want {
+			t.Fatal("a participant served from the cache diverged")
+		}
+	}
+}
+
+// TestHandoverQuiesceKeepsDeltas: the shed floor a handover pins to drain
+// parked polls is not load, so it must neither turn deltas off nor drop the
+// delta-base ring — a handover that rolls back keeps serving deltas.
+func TestHandoverQuiesceKeepsDeltas(t *testing.T) {
+	w := newWorld(t, nil)
+	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
+	alice := w.join(t, "alice.lan")
+	if _, err := alice.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	w.agent.forceShed(ShedInterval)
+	defer w.agent.forceShed(ShedNone)
+	hostEdit(t, w, 1)
+	served0 := w.agent.DeltasServed()
+	if updated, err := alice.PollOnce(); err != nil || !updated {
+		t.Fatalf("updated=%v err=%v", updated, err)
+	}
+	if got := w.agent.DeltasServed() - served0; got != 1 {
+		t.Fatalf("DeltasServed advanced by %d under a forced quiesce, want 1", got)
+	}
+	if got := w.agent.DeltaBasesRetained(); got == 0 {
+		t.Fatal("a forced quiesce released the delta-base ring")
 	}
 }

@@ -11,8 +11,9 @@ package core
 // base that fell off the ring, a top-level region change, or when the
 // delta would not actually be smaller.
 //
-// Shape (same envelope conventions as newContent — every variable payload
-// rides escape()d inside CDATA):
+// Shape (newContent's envelope, written by the same appendCDATA and
+// appendHead in xmlmsg.go: every variable payload rides escape()d inside
+// CDATA; the agent caches both messages as one preparedMsg type):
 //
 //	<?xml version='1.0' encoding='utf-8'?>
 //	<deltaContent>
@@ -36,7 +37,6 @@ import (
 	"strings"
 
 	"rcb/internal/dom"
-	"rcb/internal/httpwire"
 	"rcb/internal/jsescape"
 )
 
@@ -90,21 +90,13 @@ func (d *DeltaContent) AppendMarshal(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, d.BaseDocTime, 10)
 	dst = append(dst, "</baseDocTime>\n"...)
 	if d.HasHead {
-		dst = append(dst, "<docHead>\n"...)
-		for i, h := range d.Head {
-			dst = append(dst, "<hChild"...)
-			dst = strconv.AppendInt(dst, int64(i+1), 10)
-			dst = append(dst, "><![CDATA["...)
-			dst = jsescape.AppendEscape(dst, headChildPayload(h))
-			dst = append(dst, "]]></hChild"...)
-			dst = strconv.AppendInt(dst, int64(i+1), 10)
-			dst = append(dst, ">\n"...)
-		}
-		dst = append(dst, "</docHead>\n"...)
+		dst = appendHead(dst, d.Head)
 	}
-	dst = appendRegionPatch(dst, "bodyPatch", d.Body)
-	dst = appendRegionPatch(dst, "framesetPatch", d.FrameSet)
-	dst = appendRegionPatch(dst, "noframesPatch", d.NoFrames)
+	for i, patches := range d.patchFields() {
+		if len(*patches) > 0 {
+			dst = appendCDATA(dst, regions[i].patch, 0, string(appendPatches(nil, *patches)))
+		}
+	}
 	if len(d.UserActions) > 0 {
 		dst = appendUserActions(dst, d.UserActions)
 	}
@@ -112,18 +104,9 @@ func (d *DeltaContent) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-func appendRegionPatch(dst []byte, name string, patches []dom.Patch) []byte {
-	if len(patches) == 0 {
-		return dst
-	}
-	dst = append(dst, '<')
-	dst = append(dst, name...)
-	dst = append(dst, "><![CDATA["...)
-	dst = jsescape.AppendEscape(dst, string(appendPatches(nil, patches)))
-	dst = append(dst, "]]></"...)
-	dst = append(dst, name...)
-	dst = append(dst, ">\n"...)
-	return dst
+// patchFields returns the message's patch scripts in the order of regions.
+func (d *DeltaContent) patchFields() [3]*[]dom.Patch {
+	return [3]*[]dom.Patch{&d.Body, &d.FrameSet, &d.NoFrames}
 }
 
 // UnmarshalDelta parses a deltaContent message.
@@ -152,19 +135,15 @@ func UnmarshalDelta(data []byte) (*DeltaContent, error) {
 			return nil, err
 		}
 	}
-	for _, region := range []struct {
-		name string
-		dst  *[]dom.Patch
-	}{{"bodyPatch", &d.Body}, {"framesetPatch", &d.FrameSet}, {"noframesPatch", &d.NoFrames}} {
-		payload, ok := elementText(s, region.name)
+	for i, dst := range d.patchFields() {
+		name := regions[i].patch
+		payload, ok := elementText(s, name)
 		if !ok {
 			continue
 		}
-		patches, err := decodePatches(jsescape.Unescape(stripCDATA(payload)))
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", region.name, err)
+		if *dst, err = decodePatches(jsescape.Unescape(stripCDATA(payload))); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", name, err)
 		}
-		*region.dst = patches
 	}
 	if payload, ok := elementText(s, "userActions"); ok {
 		actions, err := DecodeActions(jsescape.Unescape(stripCDATA(payload)))
@@ -465,29 +444,4 @@ func decodePatches(s string) ([]dom.Patch, error) {
 		return nil, r.errf("trailing bytes after script")
 	}
 	return patches, nil
-}
-
-// preparedDelta is one cached, encoded delta response: the incremental
-// counterpart of PreparedContent, keyed by its (base, target) docTime pair
-// and shared by every participant acknowledging that base.
-type preparedDelta struct {
-	baseDocTime int64
-	docTime     int64
-	xml         []byte
-	// splice is the offset of the closing </deltaContent> tag, for the
-	// per-participant userActions insertion.
-	splice int
-	resp   *httpwire.Response
-}
-
-// WithUserActions mirrors PreparedContent.WithUserActions for delta bytes.
-func (d *preparedDelta) WithUserActions(actions []Action) []byte {
-	if len(actions) == 0 {
-		return d.xml
-	}
-	out := make([]byte, 0, len(d.xml)+spliceSizeHint(actions))
-	out = append(out, d.xml[:d.splice]...)
-	out = appendUserActions(out, actions)
-	out = append(out, d.xml[d.splice:]...)
-	return out
 }

@@ -182,7 +182,9 @@ type shedState struct {
 	downs    atomic.Int64
 	// forced is an administrative floor under the measured level: the
 	// handover quiesce pins ShedInterval so parked polls drain and no new
-	// ones park, independent of what the load signals say.
+	// ones park, independent of what the load signals say. It is not load,
+	// so what sheds memory or live channels — the delta gates (deltasOn)
+	// and the channel writer — reads the measured level alone.
 	forced atomic.Int32
 
 	respOnce sync.Once
@@ -203,7 +205,8 @@ func (a *Agent) ShedLevel() ShedLevel {
 // forced floor. The channel writer sheds on this: a handover quiesce forces
 // ShedInterval but must leave live channels attached so they can receive
 // their MOVED close frame at the fence, while genuine load-driven
-// ShedInterval does tear channels down.
+// ShedInterval does tear channels down. The delta gates (deltasOn) read it
+// too, so a quiesce that rolls back still has its delta bases.
 func (a *Agent) measuredShedLevel() ShedLevel { return ShedLevel(a.shed.level.Load()) }
 
 // forceShed pins the ladder at or above lvl until released with

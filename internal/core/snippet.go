@@ -167,11 +167,6 @@ type Snippet struct {
 	// RetryRand overrides the jitter source with a deterministic one
 	// (tests); nil uses math/rand. Called only under the snippet's lock.
 	RetryRand func() float64
-	// DisableRejoin turns off the automatic rejoin-and-resync Run performs
-	// after a retryable close reason; the error is still reported and the
-	// loop keeps polling with its stale identity (useful for harnesses
-	// that manage identity themselves).
-	DisableRejoin bool
 
 	auth *Authenticator
 
@@ -1211,7 +1206,7 @@ func (s *Snippet) Run(stop <-chan struct{}, errf func(error)) {
 			return
 		case <-timer.C:
 		}
-		if !s.DisableRejoin && s.RejoinNeeded() {
+		if s.RejoinNeeded() {
 			if err := s.Rejoin(); err != nil {
 				if errf != nil {
 					errf(err)

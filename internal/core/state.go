@@ -8,7 +8,6 @@ import (
 
 	"rcb/internal/browser"
 	"rcb/internal/dom"
-	"rcb/internal/httpwire"
 )
 
 // Versioned session state codec. ExportState serializes everything an agent
@@ -225,15 +224,15 @@ func (a *Agent) exportLocked() ([]byte, error) {
 
 	a.cmu.Lock()
 	for _, mode := range [2]bool{false, true} {
-		prep := a.prepared[mode]
-		if prep == nil || prep.version != version {
+		mc := &a.cache[modeIndex(mode)]
+		if mc.cur == nil || mc.cur.version != version {
 			continue
 		}
-		ps := preparedSnapshot{CacheMode: mode, DocTime: prep.docTime, XML: string(prep.xml)}
-		if ring := a.prevRing[mode]; len(ring) > 0 {
-			ps.PrevDocTime = ring[0].docTime
-			ps.PrevXML = string(ring[0].xml)
-			for _, b := range ring[1:] {
+		ps := preparedSnapshot{CacheMode: mode, DocTime: mc.cur.docTime, XML: string(mc.cur.xml)}
+		if len(mc.ring) > 0 {
+			ps.PrevDocTime = mc.ring[0].docTime
+			ps.PrevXML = string(mc.ring[0].xml)
+			for _, b := range mc.ring[1:] {
 				ps.Ring = append(ps.Ring, ringSnapshot{DocTime: b.docTime, XML: string(b.xml)})
 			}
 		}
@@ -345,34 +344,29 @@ func (a *Agent) ImportState(data []byte) error {
 	a.omu.Unlock()
 
 	a.cmu.Lock()
-	a.prepared = make(map[bool]*PreparedContent)
-	a.prevRing = make(map[bool][]*PreparedContent)
-	a.delta = make(map[bool]map[int64]*deltaEntry)
-	a.buildHist = make(map[bool][]int64)
+	a.cache = [2]modeCache{}
 	for _, ps := range st.Prepared {
 		if ps.CacheMode && st.Addr != a.Addr {
 			// Cache-mode XML embeds object URLs minted for the exporting
 			// agent's address; at a new address the next poll must rebuild.
 			continue
 		}
-		// Rebuild the ring newest-first (Prev fields, then Ring), assigning
-		// descending synthetic versions below the current build's.
-		var ring []*PreparedContent
+		// Replay the exported builds oldest first — the Ring bases, the
+		// newest base in the Prev fields, then the current build — under
+		// ascending synthetic versions ending at the current one, so install
+		// rebuilds the delta-base ring and the build history as exported.
+		var builds []ringSnapshot
 		if ps.PrevXML != "" {
-			ring = append(ring, importedPrepared(version-1, ps.PrevDocTime, ps.PrevXML))
-			for _, rs := range ps.Ring {
-				ring = append(ring, importedPrepared(version-1-int64(len(ring)), rs.DocTime, rs.XML))
+			for i := len(ps.Ring) - 1; i >= 0; i-- {
+				builds = append(builds, ps.Ring[i])
 			}
-			a.prevRing[ps.CacheMode] = ring
+			builds = append(builds, ringSnapshot{DocTime: ps.PrevDocTime, XML: ps.PrevXML})
 		}
-		a.prepared[ps.CacheMode] = importedPrepared(version, ps.DocTime, ps.XML)
-		// buildHist runs oldest first: reversed ring docTimes, then current.
-		hist := make([]int64, 0, len(ring)+1)
-		for i := len(ring) - 1; i >= 0; i-- {
-			hist = append(hist, ring[i].docTime)
+		builds = append(builds, ringSnapshot{DocTime: ps.DocTime, XML: ps.XML})
+		mc := &a.cache[modeIndex(ps.CacheMode)]
+		for i, b := range builds {
+			mc.install(importedPrepared(version-int64(len(builds)-1-i), b.DocTime, b.XML), true)
 		}
-		hist = append(hist, ps.DocTime)
-		a.buildHist[ps.CacheMode] = hist
 	}
 	a.cmu.Unlock()
 
@@ -385,15 +379,8 @@ func (a *Agent) ImportState(data []byte) error {
 // snapshot whose XML no longer parses degrades gracefully: content stays
 // nil, which only disables the delta fast path.
 func importedPrepared(version, docTime int64, xml string) *PreparedContent {
-	b := []byte(xml)
-	prep := &PreparedContent{
-		version: version,
-		docTime: docTime,
-		xml:     b,
-		splice:  len(b) - len(closeNewContent),
-		resp:    httpwire.NewResponse(200, "application/xml", b),
-	}
-	if nc, err := Unmarshal(b); err == nil {
+	prep := &PreparedContent{preparedMsg: newPreparedMsg(docTime, []byte(xml), closeNewContent), version: version}
+	if nc, err := Unmarshal(prep.xml); err == nil {
 		prep.content = nc
 	}
 	return prep

@@ -101,7 +101,7 @@ func parseTopElementPayload(s string) (*TopElement, error) {
 
 // closeNewContent is the fixed tail of every Figure 4 message. Prepared
 // content records where it starts so per-participant userActions can be
-// spliced in front of it without re-marshaling (see PreparedContent).
+// spliced in front of it without re-marshaling (see preparedMsg).
 const closeNewContent = "</newContent>\n"
 
 // Marshal renders the message in the exact shape of Figure 4.
@@ -117,20 +117,13 @@ func (c *NewContent) AppendMarshal(dst []byte) []byte {
 	dst = strconv.AppendInt(dst, c.DocTime, 10)
 	dst = append(dst, "</docTime>\n"...)
 	if c.HasDocument {
-		dst = append(dst, "<docContent>\n<docHead>\n"...)
-		for i, h := range c.Head {
-			dst = append(dst, "<hChild"...)
-			dst = strconv.AppendInt(dst, int64(i+1), 10)
-			dst = append(dst, "><![CDATA["...)
-			dst = jsescape.AppendEscape(dst, headChildPayload(h))
-			dst = append(dst, "]]></hChild"...)
-			dst = strconv.AppendInt(dst, int64(i+1), 10)
-			dst = append(dst, ">\n"...)
+		dst = append(dst, "<docContent>\n"...)
+		dst = appendHead(dst, c.Head)
+		for i, te := range c.regionFields() {
+			if *te != nil {
+				dst = appendCDATA(dst, regions[i].full, 0, topElementPayload(*te))
+			}
 		}
-		dst = append(dst, "</docHead>\n"...)
-		dst = appendTopElement(dst, "docBody", c.Body)
-		dst = appendTopElement(dst, "docFrameSet", c.FrameSet)
-		dst = appendTopElement(dst, "docNoFrames", c.NoFrames)
 		dst = append(dst, "</docContent>\n"...)
 	}
 	if len(c.UserActions) > 0 {
@@ -140,27 +133,54 @@ func (c *NewContent) AppendMarshal(dst []byte) []byte {
 	return dst
 }
 
-func appendTopElement(dst []byte, name string, t *TopElement) []byte {
-	if t == nil {
-		return dst
-	}
+// regions names the three top-level regions both messages carry, in wire
+// order: the document element's tag, the newContent element carrying its
+// snapshot, and the deltaContent element carrying its patch script.
+var regions = [3]struct{ tag, full, patch string }{
+	{"body", "docBody", "bodyPatch"},
+	{"frameset", "docFrameSet", "framesetPatch"},
+	{"noframes", "docNoFrames", "noframesPatch"},
+}
+
+// regionFields returns the message's region fields in the order of regions.
+func (c *NewContent) regionFields() [3]**TopElement {
+	return [3]**TopElement{&c.Body, &c.FrameSet, &c.NoFrames}
+}
+
+// appendCDATA appends one envelope element, <name>CDATA(escape(payload))
+// </name>, the shape every variable payload of newContent and deltaContent
+// rides in. A positive n numbers the element name (hChild1, hChild2, ...).
+func appendCDATA(dst []byte, name string, n int, payload string) []byte {
 	dst = append(dst, '<')
-	dst = append(dst, name...)
+	dst = appendElementName(dst, name, n)
 	dst = append(dst, "><![CDATA["...)
-	dst = jsescape.AppendEscape(dst, topElementPayload(t))
+	dst = jsescape.AppendEscape(dst, payload)
 	dst = append(dst, "]]></"...)
+	dst = appendElementName(dst, name, n)
+	return append(dst, ">\n"...)
+}
+
+func appendElementName(dst []byte, name string, n int) []byte {
 	dst = append(dst, name...)
-	dst = append(dst, ">\n"...)
+	if n > 0 {
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
 	return dst
 }
 
+// appendHead appends a docHead section of numbered hChild elements.
+func appendHead(dst []byte, head []HeadChild) []byte {
+	dst = append(dst, "<docHead>\n"...)
+	for i, h := range head {
+		dst = appendCDATA(dst, "hChild", i+1, headChildPayload(h))
+	}
+	return append(dst, "</docHead>\n"...)
+}
+
 // appendUserActions appends a userActions element — shared by full marshals
-// and the per-participant splice of PreparedContent.WithUserActions.
+// and the per-participant splice of preparedMsg.WithUserActions.
 func appendUserActions(dst []byte, actions []Action) []byte {
-	dst = append(dst, "<userActions><![CDATA["...)
-	dst = jsescape.AppendEscape(dst, EncodeActions(actions))
-	dst = append(dst, "]]></userActions>\n"...)
-	return dst
+	return appendCDATA(dst, "userActions", 0, EncodeActions(actions))
 }
 
 // Unmarshal parses a Figure 4 message. Payload CDATA content is escape()
@@ -182,32 +202,18 @@ func Unmarshal(data []byte) (*NewContent, error) {
 	if content, ok := elementText(s, "docContent"); ok {
 		c.HasDocument = true
 		if headSec, ok := elementText(content, "docHead"); ok {
-			head, err := parseHeadSection(headSec)
-			if err != nil {
+			if c.Head, err = parseHeadSection(headSec); err != nil {
 				return nil, err
 			}
-			c.Head = head
 		}
-		if payload, ok := elementText(content, "docBody"); ok {
-			te, err := parseTopElementPayload(jsescape.Unescape(stripCDATA(payload)))
-			if err != nil {
+		for i, dst := range c.regionFields() {
+			payload, ok := elementText(content, regions[i].full)
+			if !ok {
+				continue
+			}
+			if *dst, err = parseTopElementPayload(jsescape.Unescape(stripCDATA(payload))); err != nil {
 				return nil, err
 			}
-			c.Body = te
-		}
-		if payload, ok := elementText(content, "docFrameSet"); ok {
-			te, err := parseTopElementPayload(jsescape.Unescape(stripCDATA(payload)))
-			if err != nil {
-				return nil, err
-			}
-			c.FrameSet = te
-		}
-		if payload, ok := elementText(content, "docNoFrames"); ok {
-			te, err := parseTopElementPayload(jsescape.Unescape(stripCDATA(payload)))
-			if err != nil {
-				return nil, err
-			}
-			c.NoFrames = te
 		}
 	}
 	if payload, ok := elementText(s, "userActions"); ok {

@@ -249,8 +249,8 @@ func FuzzChannelFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{}))
 	f.Add(AppendFrame(nil, Frame{Type: 1, Flags: 2, Payload: []byte("seed payload")}))
 	f.Add(AppendFrame(nil, Frame{Type: 0xFF, Flags: 0xFF, Payload: bytes.Repeat([]byte{0}, 300)}))
-	f.Add([]byte{1, 2, 3})                        // truncated header
-	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0xFF})   // oversized length
+	f.Add([]byte{1, 2, 3})                                              // truncated header
+	f.Add([]byte{0, 0, 0xFF, 0xFF, 0xFF, 0xFF})                         // oversized length
 	f.Add(AppendFrame(nil, Frame{Payload: []byte{0}})[:FrameHeaderLen]) // truncated payload
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, n, err := DecodeFrame(data)
