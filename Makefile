@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench fuzz chaos scale
+.PHONY: build test vet race bench fuzz chaos scale loc
 
 build:
 	$(GO) build ./...
@@ -60,3 +60,11 @@ fuzz:
 	$(GO) test ./internal/dom -run '^$$' -fuzz '^FuzzDiffApply$$' -fuzztime 15s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzUnmarshalDelta$$' -fuzztime 15s
 	$(GO) test ./internal/httpwire -run '^$$' -fuzz '^FuzzChannelFrame$$' -fuzztime 15s
+
+# Code lines of the git-tracked non-test Go files, per package directory and
+# in total: lines that are not blank and do not start with // after
+# indentation.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs awk ' \
+		!/^[[:space:]]*(\/\/|$$)/ { d = FILENAME; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d]++; t++ } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'

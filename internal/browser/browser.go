@@ -72,10 +72,14 @@ func (s *LoadStats) CacheHits() int {
 // observes it from server goroutines while the user navigates.
 type Browser struct {
 	// Name is the browser's location on the virtual network ("host.lan").
-	Name     string
-	Client   *httpwire.Client
-	Cache    *Cache
-	Jar      *CookieJar
+	Name   string
+	Client *httpwire.Client
+	Cache  *Cache
+	Jar    *CookieJar
+	// Observer records the current page's object downloads. Each page load
+	// records into a fresh observer and installs it together with the
+	// document, under the browser lock: read it inside WithDocument while
+	// a navigation may be in flight.
 	Observer *DownloadObserver
 	// FetchOnMutate controls whether ApplyMutation fetches objects the
 	// mutated document newly references, as a renderer would. On by
@@ -169,7 +173,7 @@ func (b *Browser) ApplyMutation(fn func(doc *dom.Document) error) error {
 	if b.FetchOnMutate {
 		refs = ObjectRefs(b.doc)
 	}
-	pageURL := b.pageURL
+	pageURL, obs := b.pageURL, b.Observer
 	b.bumpLocked()
 	subs := append([]func(){}, b.onChange...)
 	b.mu.Unlock()
@@ -179,7 +183,7 @@ func (b *Browser) ApplyMutation(fn func(doc *dom.Document) error) error {
 		if err != nil {
 			continue
 		}
-		b.Observer.Record(ref, abs)
+		obs.Record(ref, abs)
 		// FetchObject is a no-op network-wise on cache hits; a missing
 		// object must not fail the mutation (browsers render broken images).
 		_, _ = b.FetchObject(abs)
@@ -292,8 +296,8 @@ func (b *Browser) loadPage(absURL string, req *httpwire.Request) (*LoadStats, er
 	stats.DocTxn = txn
 	doc := dom.Parse(string(resp.Body))
 
-	b.Observer.Reset()
-	objects, err := b.fetchObjects(doc, absURL)
+	obs := NewDownloadObserver()
+	objects, err := b.fetchObjects(doc, absURL, obs)
 	if err != nil {
 		return nil, err
 	}
@@ -302,6 +306,7 @@ func (b *Browser) loadPage(absURL string, req *httpwire.Request) (*LoadStats, er
 	b.mu.Lock()
 	b.pageURL = absURL
 	b.doc = doc
+	b.Observer = obs
 	b.history = append(b.history, absURL)
 	b.bumpLocked()
 	subs := append([]func(){}, b.onChange...)
@@ -343,8 +348,8 @@ func ObjectRefs(doc *dom.Document) []string {
 }
 
 // fetchObjects downloads every supplementary object of doc, recording
-// resolutions in the observer and populating the cache.
-func (b *Browser) fetchObjects(doc *dom.Document, baseURL string) ([]ObjectFetch, error) {
+// resolutions in obs and populating the cache.
+func (b *Browser) fetchObjects(doc *dom.Document, baseURL string, obs *DownloadObserver) ([]ObjectFetch, error) {
 	var out []ObjectFetch
 	seen := make(map[string]bool)
 	for _, ref := range ObjectRefs(doc) {
@@ -352,7 +357,7 @@ func (b *Browser) fetchObjects(doc *dom.Document, baseURL string) ([]ObjectFetch
 		if err != nil {
 			continue // an unparseable reference is skipped, as browsers do
 		}
-		b.Observer.Record(ref, abs)
+		obs.Record(ref, abs)
 		if seen[abs] {
 			continue
 		}
@@ -393,18 +398,20 @@ func (b *Browser) FetchObject(absURL string) (ObjectFetch, error) {
 // document — what the participant browser does after Ajax-Snippet installs
 // new content. Object references must already be absolute (non-cache mode)
 // or point at the RCB-Agent (cache mode); baseURL anchors any that are not.
+// Call it inside WithDocument: it records into the current page's observer.
 func (b *Browser) RenderObjects(doc *dom.Document, baseURL string) []ObjectFetch {
-	fetches, _ := b.fetchObjects(doc, baseURL)
+	fetches, _ := b.fetchObjects(doc, baseURL, b.Observer)
 	return fetches
 }
 
 // SetDocument installs a document directly (used by the participant side,
 // whose page arrives through the co-browsing channel rather than a page
-// load).
+// load). The document downloaded nothing yet, so its observer starts empty.
 func (b *Browser) SetDocument(pageURL string, doc *dom.Document) {
 	b.mu.Lock()
 	b.pageURL = pageURL
 	b.doc = doc
+	b.Observer = NewDownloadObserver()
 	b.history = append(b.history, pageURL)
 	b.bumpLocked()
 	subs := append([]func(){}, b.onChange...)

@@ -6,6 +6,7 @@ import (
 
 	"rcb/internal/dom"
 	"rcb/internal/httpwire"
+	"rcb/internal/netsim"
 	"rcb/internal/sites"
 )
 
@@ -141,6 +142,69 @@ func TestObserverRecordsResolutions(t *testing.T) {
 	inv := sites.Inventory(spec)
 	if abs, ok := b.Observer.Resolve(inv[len(inv)-1].Path); !ok || !strings.HasPrefix(abs, "http://") {
 		t.Errorf("relative ref not resolvable: %q %v", abs, ok)
+	}
+}
+
+// TestObserverKeepsCurrentPageDuringNavigation: while a navigation is
+// downloading the next page's objects, a reference the two pages share
+// still resolves against the page the browser shows.
+func TestObserverKeepsCurrentPageDuringNavigation(t *testing.T) {
+	network := netsim.NewNetwork()
+	served := make(chan struct{}, 1)
+	for _, host := range []string{"a.test", "b.test"} {
+		host := host
+		l, err := network.Listen(host + ":80")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := &httpwire.Server{Handler: httpwire.HandlerFunc(func(req *httpwire.Request) *httpwire.Response {
+			if req.Path() == "/x.png" {
+				if host == "b.test" {
+					select {
+					case served <- struct{}{}:
+					default:
+					}
+				}
+				return httpwire.NewResponse(200, "image/png", []byte("png"))
+			}
+			return httpwire.NewResponse(200, "text/html", []byte(`<html><head></head><body><img src="x.png"></body></html>`))
+		})}
+		srv.Start(l)
+		t.Cleanup(srv.Close)
+	}
+	b := New("host.lan", network.Dialer("host.lan"))
+	t.Cleanup(b.Close)
+	if _, err := b.Navigate("http://a.test/"); err != nil {
+		t.Fatal(err)
+	}
+	navErr := make(chan error, 1)
+	var got string
+	err := b.WithDocument(func(string, *dom.Document) error {
+		go func() {
+			_, err := b.Navigate("http://b.test/")
+			navErr <- err
+		}()
+		<-served
+		got, _ = b.Observer.Resolve("x.png")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-navErr; err != nil {
+		t.Fatal(err)
+	}
+	if got != "http://a.test/x.png" {
+		t.Errorf("mid-navigation resolve of the current page = %q, want http://a.test/x.png", got)
+	}
+	if abs, _ := b.Observer.Resolve("x.png"); abs != "http://b.test/x.png" {
+		t.Errorf("after navigation resolve = %q, want http://b.test/x.png", abs)
+	}
+	// A directly installed document downloaded nothing: b's resolution must
+	// not leak into it.
+	b.SetDocument("http://a.test/", dom.Parse(`<html><head></head><body><img src="x.png"></body></html>`))
+	if abs, ok := b.Observer.Resolve("x.png"); ok {
+		t.Errorf("after SetDocument resolve = %q, want no recorded download", abs)
 	}
 }
 

@@ -43,11 +43,3 @@ func (o *DownloadObserver) Downloads() []string {
 	defer o.mu.RUnlock()
 	return append([]string(nil), o.order...)
 }
-
-// Reset clears the observer for a new page load.
-func (o *DownloadObserver) Reset() {
-	o.mu.Lock()
-	o.resolutions = make(map[string]string)
-	o.order = nil
-	o.mu.Unlock()
-}

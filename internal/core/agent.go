@@ -110,16 +110,6 @@ type Agent struct {
 	// cap answer immediately with a retry-after hint instead of parking.
 	// Zero means unlimited.
 	MaxParkedPolls int
-	// MaxAckLag, when positive, disconnects (StaleReader) participants
-	// whose acknowledged docTime lags the current build by more than this
-	// many builds — a slow reader that can no longer catch up must not pin
-	// agent state.
-	MaxAckLag int
-	// MaxParkAge, when positive, bounds one parked poll's hang below
-	// MaxPollWait; a poll that parks the full age without the participant
-	// ever being woken marks the reader stale and disconnects it with
-	// StaleReader.
-	MaxParkAge time.Duration
 	// Shed configures the load-shedding ladder (see ShedLevel); the zero
 	// value disables shedding.
 	Shed ShedWatermarks
@@ -135,9 +125,6 @@ type Agent struct {
 	// handover.go). Off by default: an agent must opt in to being a
 	// migration target.
 	AllowHandover bool
-	// MovedRetryAfter is the retry hint attached to MOVED responses after
-	// a handover relocated this session; zero means DefaultMovedRetryAfter.
-	MovedRetryAfter time.Duration
 	// Logf, when non-nil, receives diagnostics.
 	Logf func(format string, args ...any)
 
@@ -234,11 +221,12 @@ type Agent struct {
 
 	// shed holds the load-shedding ladder state (overload.go).
 	shed shedState
+	// quiescing holds new long-poll parks and channel upgrades off while a
+	// handover drains the parked polls (HandoverTo step 2). It is not load:
+	// live channels stay attached to receive their MOVED close frame, and
+	// delta bases stay, so a rolled-back handover keeps serving deltas.
+	quiescing atomic.Bool
 }
-
-// maxBuildHist bounds the per-mode build history; MaxAckLag beyond this is
-// effectively "never stale by lag".
-const maxBuildHist = 64
 
 // DefaultDeltaRingDepth is how many replaced builds each mode retains as
 // delta bases (the delta-base ring): a participant acknowledging any
@@ -264,14 +252,11 @@ const DefaultDeltaRingDepth = 4
 //     pair, so N concurrent polls on one pair cost one dom.Diff: in flight
 //     until its done channel closes, the cached verdict after — the shared
 //     delta message, or nil when none is worth sending.
-//   - hist remembers recent build docTimes, oldest first: the ruler the
-//     stale-reader reaper measures ack lag against.
 type modeCache struct {
 	cur    *PreparedContent
 	build  *contentCall
 	ring   []*PreparedContent
 	deltas map[int64]*deltaCall
-	hist   []int64
 }
 
 // modeIndex maps a cache mode to its Agent.cache slot.
@@ -286,8 +271,7 @@ func modeIndex(cacheMode bool) int {
 // joins the front of the delta-base ring, capped at DefaultDeltaRingDepth;
 // without, the ring is released: deltas are off, and rotating would hoard
 // the very memory the shed ladder's ShedNoDelta rung exists to free. Either
-// way every delta call targeted the replaced build and is dropped. prep
-// joins the build history.
+// way every delta call targeted the replaced build and is dropped.
 func (mc *modeCache) install(prep *PreparedContent, keepBases bool) {
 	if mc.cur != nil {
 		if keepBases {
@@ -299,10 +283,6 @@ func (mc *modeCache) install(prep *PreparedContent, keepBases bool) {
 		clear(mc.deltas)
 	}
 	mc.cur = prep
-	mc.hist = append(mc.hist, prep.docTime)
-	if len(mc.hist) > maxBuildHist {
-		mc.hist = mc.hist[len(mc.hist)-maxBuildHist:]
-	}
 }
 
 // deltaCall is one (base → target) delta computation; msg is set before
@@ -395,29 +375,20 @@ type PreparedContent struct {
 func (p *PreparedContent) GenTime() time.Duration { return p.genTime }
 
 // participantTree reconstructs what a participant document's top-level
-// regions look like after applying this build's message in full: each
-// region element gets the message's attribute list and the ParseFragment
-// of its innerHTML payload — exactly the installation the snippet's full
-// apply performs. Deltas must be diffed between these trees, not the live
-// clones they were extracted from: DOM-API mutations can leave empty or
-// adjacent text nodes in the host document that serialization erases, so
-// the clone and the participant's parsed copy can disagree on child
-// indexes even though they serialize identically. The reconstruction is
+// regions look like after applying this build's message in full: it runs
+// the snippet's own step-4 installer (installRegion) on a fresh root, so
+// the tree equals a participant's full apply by construction. Deltas must
+// be diffed between these trees, not the live clones they were extracted
+// from: DOM-API mutations can leave empty or adjacent text nodes in the
+// host document that serialization erases, so the clone and the
+// participant's parsed copy can disagree on child indexes even though they
+// serialize identically. The reconstruction is
 // lazy and cached — the full-snapshot path never pays for it.
 func (p *PreparedContent) participantTree() *dom.Node {
 	p.normOnce.Do(func() {
 		root := dom.NewElement("html")
-		for i, field := range p.content.regionFields() {
-			te := *field
-			if te == nil {
-				continue
-			}
-			el := dom.NewElement(regions[i].tag)
-			el.Attrs = append([]dom.Attr(nil), te.Attrs...)
-			if te.Inner != "" {
-				dom.SetInnerHTML(el, te.Inner)
-			}
-			root.AppendChild(el)
+		for i, te := range p.content.regionFields() {
+			installRegion(root, regions[i].tag, *te, &appliedTop{})
 		}
 		p.normTree = root
 	})
@@ -661,13 +632,14 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 		return
 	}
 	a.maybeEvalLoad()
-	// Overload enforcement: at ShedInterval and above — or past the
-	// parked-poll cap — a would-be long-poll answers immediately and
-	// carries the server-assigned retry interval, degrading the client to
-	// the paper's interval polling until pressure clears.
+	// Overload enforcement: at ShedInterval and above, past the parked-poll
+	// cap, or during a handover's quiesce, a would-be long-poll answers
+	// immediately and carries the server-assigned retry interval,
+	// degrading the client to the paper's interval polling until pressure
+	// clears.
 	parkRefused := false
 	if wait > 0 {
-		if a.ShedLevel() >= ShedInterval {
+		if a.quiescing.Load() || a.ShedLevel() >= ShedInterval {
 			parkRefused = true
 		} else if a.MaxParkedPolls > 0 && a.ParkedPolls() >= a.MaxParkedPolls {
 			parkRefused = true
@@ -676,13 +648,6 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 			a.parkRefusals.Add(1)
 			wait = 0
 		}
-	}
-	// A slow-reader bound below the poll cap: the park completes early and
-	// marks the reader stale if nothing woke it by then.
-	staleOnTimeout := false
-	if a.MaxParkAge > 0 && wait > a.MaxParkAge {
-		wait = a.MaxParkAge
-		staleOnTimeout = true
 	}
 	pid := p.ID
 	for {
@@ -698,7 +663,7 @@ func (a *Agent) ServeWireAsync(req *httpwire.Request, respond func(*httpwire.Res
 			respond(resp)
 			return
 		}
-		w := &pollWaiter{pid: pid, ts: ts, deltaOK: deltaOK, staleOnTimeout: staleOnTimeout}
+		w := &pollWaiter{pid: pid, ts: ts, deltaOK: deltaOK}
 		w.fulfill = func(reply *pollReply) { respond(a.wakePoll(w, reply)) }
 		parked, retry := a.hub.park(w, snap, wait)
 		if parked {
@@ -730,14 +695,6 @@ func (a *Agent) wakePoll(w *pollWaiter, reply *pollReply) *httpwire.Response {
 		return agentClosingPollResponse
 	}
 	if reply.timedOut {
-		if w.staleOnTimeout {
-			// The poll aged out below the normal cap (MaxParkAge): nothing
-			// woke this participant for the whole bound, so treat it as a
-			// reader too slow to keep pinning agent state.
-			a.staleKicks.Add(1)
-			a.DisconnectWith(w.pid, CloseStaleReader)
-			return closeResponse(CloseStaleReader)
-		}
 		return emptyPollResponse
 	}
 	p := a.participant(w.pid)
@@ -1114,6 +1071,9 @@ func (a *Agent) DisconnectWith(pid string, reason CloseReason) {
 		if dropped > 0 {
 			a.outboxDepth.Add(-int64(dropped))
 		}
+		if reason == CloseStaleReader {
+			a.staleKicks.Add(1)
+		}
 		a.logf("rcb-agent: participant %s disconnected: %s", pid, reason)
 	}
 	// A parked poll and a live channel learn of the disconnect alike:
@@ -1133,8 +1093,8 @@ func (a *Agent) JoinRefusals() int64 { return a.joinRefusals.Load() }
 // parked-poll cap or the shed ladder.
 func (a *Agent) ParkRefusals() int64 { return a.parkRefusals.Load() }
 
-// StaleKicks reports participants disconnected as stale readers (ack lag or
-// park age).
+// StaleKicks reports participants disconnected as stale readers (every
+// DisconnectWith with CloseStaleReader).
 func (a *Agent) StaleKicks() int64 { return a.staleKicks.Load() }
 
 // DuplicateActions reports actions dropped by the replay filter.
@@ -1203,14 +1163,9 @@ func (a *Agent) contentForMode(cacheMode bool) (*PreparedContent, error) {
 
 	prep, err := a.BuildContent(cacheMode)
 	a.cmu.Lock()
-	var lagFloor int64
 	if err == nil {
 		if cur := mc.cur; cur == nil || prep.version > cur.version {
 			mc.install(prep, a.deltasOn())
-			// The oldest docTime a reader may still acknowledge.
-			if a.MaxAckLag > 0 && len(mc.hist) > a.MaxAckLag {
-				lagFloor = mc.hist[len(mc.hist)-1-a.MaxAckLag]
-			}
 		} else {
 			// A racing build already stored this version or a newer one:
 			// hand out the stored build and drop this one, so each version
@@ -1223,37 +1178,9 @@ func (a *Agent) contentForMode(cacheMode bool) (*PreparedContent, error) {
 		mc.build = nil
 	}
 	a.cmu.Unlock()
-	if lagFloor > 0 {
-		a.reapStaleReaders(cacheMode, lagFloor)
-	}
 	call.prep, call.err = prep, err
 	close(call.done)
 	return prep, err
-}
-
-// reapStaleReaders disconnects (StaleReader) every cacheMode-matching
-// participant whose acknowledged docTime has fallen behind lagFloor — the
-// docTime of the build MaxAckLag versions back. A reader that far behind is
-// consuming outbox memory and wake fan-outs without keeping up; kicking it
-// with a retryable reason converts it into a fresh full-snapshot join.
-// Participants that never polled (LastDocTime 0) are exempt: they have no
-// lag yet, only latency.
-func (a *Agent) reapStaleReaders(cacheMode bool, lagFloor int64) {
-	var stale []string
-	a.pmu.RLock()
-	for pid, p := range a.participants {
-		p.mu.Lock()
-		lagging := p.CacheMode == cacheMode && p.LastDocTime > 0 && p.LastDocTime < lagFloor
-		p.mu.Unlock()
-		if lagging {
-			stale = append(stale, pid)
-		}
-	}
-	a.pmu.RUnlock()
-	for _, pid := range stale {
-		a.staleKicks.Add(1)
-		a.DisconnectWith(pid, CloseStaleReader)
-	}
 }
 
 // BuildContent runs the full Figure 3 generation pipeline against the
@@ -1370,10 +1297,8 @@ func (a *Agent) releaseDeltaState() {
 }
 
 // deltasOn reports whether deltas are served and their bases retained: the
-// shed ladder's first rung turns them off. It reads the measured ladder, not
-// the floor a handover's quiesce forces: that drains parked polls, it is not
-// load, and a handover that rolls back must find its delta bases intact.
-func (a *Agent) deltasOn() bool { return a.measuredShedLevel() < ShedNoDelta }
+// shed ladder's first rung turns them off.
+func (a *Agent) deltasOn() bool { return a.ShedLevel() < ShedNoDelta }
 
 // warmWakeDeltas is the delivery hub's preWake hook: it runs on the trailing
 // edge of a debounced wake, after the subscribers are collected but before

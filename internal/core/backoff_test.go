@@ -315,6 +315,9 @@ func TestRunAutoRejoinsAfterRetryableClose(t *testing.T) {
 	if got := s.LastCloseReason(); got != CloseStaleReader {
 		t.Fatalf("recorded close reason = %v, want STALE_READER", got)
 	}
+	if got := w.agent.StaleKicks(); got != 1 {
+		t.Fatalf("StaleKicks = %d, want 1 (the STALE_READER close)", got)
+	}
 	if errSeen == nil || !strings.Contains(errSeen.Error(), "STALE_READER") {
 		t.Fatalf("errf saw %v, want the STALE_READER close error", errSeen)
 	}

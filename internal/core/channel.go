@@ -198,7 +198,7 @@ func (a *Agent) ChannelFallbacks() int64 { return a.channelFallbacks.Load() }
 // it holds) and the delta opt-in.
 func (a *Agent) serveChannelUpgrade(req *httpwire.Request) *httpwire.Response {
 	a.maybeEvalLoad()
-	if a.DisableChannel || a.ShedLevel() >= ShedInterval || a.handoverPending() {
+	if a.DisableChannel || a.quiescing.Load() || a.ShedLevel() >= ShedInterval || a.handoverPending() {
 		// The channel is precisely the per-client state the interval step
 		// exists to shed; refuse with the same retry-carrying answer a
 		// refused park gets, and the client degrades to long-poll.
@@ -293,18 +293,17 @@ func (a *Agent) channelFlush(ch *agentChannel) bool {
 			// Handover completed under us: tell the client where the session
 			// went over the live channel — the frame analogue of the MOVED
 			// response — so it rejoins the new agent directly.
-			cs := closeSignal{reason: CloseMoved, retry: a.movedRetryAfter(), relocate: a.relocatedTo}
+			cs := closeSignal{reason: CloseMoved, retry: DefaultMovedRetryAfter, relocate: a.relocatedTo}
 			a.smu.RUnlock()
 			a.channelFallbacks.Add(1)
 			a.writeClose(ch, cs)
 			return false
 		}
 		a.maybeEvalLoad()
-		if a.measuredShedLevel() >= ShedInterval {
-			// Real overload (not a handover's forced quiesce — channels must
-			// outlive that to receive the MOVED frame): shed the per-client
-			// channel state; the client falls back to interval-paced polling
-			// under the same retry hint a refused park carries.
+		if a.ShedLevel() >= ShedInterval {
+			// Overload: shed the per-client channel state; the client falls
+			// back to interval-paced polling under the same retry hint a
+			// refused park carries.
 			cs := closeSignal{reason: CloseOvercommitted, retry: a.shedRetryAfter()}
 			a.smu.RUnlock()
 			a.channelFallbacks.Add(1)

@@ -249,7 +249,7 @@ func TestChannelShedRefusal(t *testing.T) {
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 	s := w.join(t, "shed.lan")
 	s.Delivery = DeliveryDuplex
-	w.agent.forceShed(ShedInterval)
+	w.agent.shed.level.Store(int32(ShedInterval))
 
 	if err := s.DuplexOnce(nil); err != nil {
 		t.Fatalf("refused upgrade must degrade silently, got %v", err)

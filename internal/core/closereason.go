@@ -26,12 +26,13 @@ const (
 	// CloseSessionFull: admission refused — the session is at its
 	// participant cap or the agent is shedding joins. Rejoin later.
 	CloseSessionFull
-	// CloseOvercommitted: the agent dropped the participant to relieve
-	// resource pressure (parked-poll cap). Rejoin later.
+	// CloseOvercommitted: the agent refused or shed a persistent channel
+	// to relieve resource pressure (shed ladder, handover quiesce, channels
+	// disabled). Rejoin later.
 	CloseOvercommitted
-	// CloseStaleReader: the participant's acknowledged version lagged the
-	// document beyond the configured distance, or its parked poll exceeded
-	// the maximum age. Rejoin triggers a full resync.
+	// CloseStaleReader: the host disconnected the participant as a stale
+	// reader through an explicit DisconnectWith; the agent never sends it on
+	// its own. Rejoin triggers a full resync.
 	CloseStaleReader
 	// CloseAgentClosing: the agent itself is shutting down. Rejoin with
 	// backoff — the host may restart.

@@ -49,11 +49,8 @@ type pollWaiter struct {
 	pid     string
 	ts      int64
 	deltaOK bool // the parked request opted into deltaContent responses
-	// staleOnTimeout marks a park bounded by Agent.MaxParkAge: a timeout
-	// means the reader aged out and is disconnected as StaleReader.
-	staleOnTimeout bool
-	fulfill        func(reply *pollReply)
-	timer          *time.Timer
+	fulfill func(reply *pollReply)
+	timer   *time.Timer
 }
 
 // signal fulfills the detached waiter: on its own goroutine for a wake, so

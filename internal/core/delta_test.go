@@ -809,8 +809,8 @@ func TestStaleDeltaCallNeverServedForNewerTarget(t *testing.T) {
 	}
 }
 
-// TestHandoverQuiesceKeepsDeltas: the shed floor a handover pins to drain
-// parked polls is not load, so it must neither turn deltas off nor drop the
+// TestHandoverQuiesceKeepsDeltas: the hold a handover places on parks to
+// drain them is not load, so it must neither turn deltas off nor drop the
 // delta-base ring — a handover that rolls back keeps serving deltas.
 func TestHandoverQuiesceKeepsDeltas(t *testing.T) {
 	w := newWorld(t, nil)
@@ -819,8 +819,8 @@ func TestHandoverQuiesceKeepsDeltas(t *testing.T) {
 	if _, err := alice.PollOnce(); err != nil {
 		t.Fatal(err)
 	}
-	w.agent.forceShed(ShedInterval)
-	defer w.agent.forceShed(ShedNone)
+	w.agent.quiescing.Store(true)
+	defer w.agent.quiescing.Store(false)
 	hostEdit(t, w, 1)
 	served0 := w.agent.DeltasServed()
 	if updated, err := alice.PollOnce(); err != nil || !updated {
@@ -831,5 +831,54 @@ func TestHandoverQuiesceKeepsDeltas(t *testing.T) {
 	}
 	if got := w.agent.DeltaBasesRetained(); got == 0 {
 		t.Fatal("a forced quiesce released the delta-base ring")
+	}
+}
+
+// TestDeltaBaseMatchesParticipantApply: the tree the agent diffs delta bases
+// against (participantTree) equals, region by region, what a participant
+// holds after a full apply — both into a fresh document and through a warm
+// memo that last held a different page (body → frameset → body). Every Table
+// 1 homepage and its frameset page are checked.
+func TestDeltaBaseMatchesParticipantApply(t *testing.T) {
+	w := newWorld(t, nil)
+	var preps []*PreparedContent
+	for _, spec := range sites.Table1 {
+		for _, path := range []string{"/", "/frames.html"} {
+			w.hostNavigate(t, "http://"+spec.Host()+path)
+			prep, err := w.agent.BuildContent(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preps = append(preps, prep)
+		}
+	}
+	const page = `<html><head><script id="rcb-ajax-snippet"></script></head><body></body></html>`
+	check := func(how string, doc *dom.Document, prep *PreparedContent) {
+		t.Helper()
+		tree := prep.participantTree()
+		for i, te := range prep.content.regionFields() {
+			tag := regions[i].tag
+			got, want := doc.Root.FirstChildElement(tag), tree.FirstChildElement(tag)
+			switch {
+			case (got == nil) != (*te == nil) || (want == nil) != (*te == nil):
+				t.Errorf("%s doc %d <%s>: participant has it %v, base has it %v, content has it %v",
+					how, prep.DocTime(), tag, got != nil, want != nil, *te != nil)
+			case got != nil && (dom.OuterHTML(got) != dom.OuterHTML(want) || got.CountNodes() != want.CountNodes()):
+				t.Errorf("%s doc %d <%s>: participant region differs from the delta base", how, prep.DocTime(), tag)
+			}
+		}
+	}
+	warm := dom.Parse(page)
+	var memo ApplyMemo
+	for _, prep := range preps {
+		fresh := dom.Parse(page)
+		if err := ApplyContentToDocument(fresh, prep.content); err != nil {
+			t.Fatal(err)
+		}
+		check("fresh", fresh, prep)
+		if err := memo.Apply(warm, prep.content); err != nil {
+			t.Fatal(err)
+		}
+		check("warm", warm, prep)
 	}
 }

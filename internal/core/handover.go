@@ -35,9 +35,9 @@ import (
 // /state success); afterwards the receiver owns the session and the old
 // process must keep answering MOVED.
 
-// DefaultMovedRetryAfter is the retry hint attached to MOVED responses
-// when Agent.MovedRetryAfter is zero: short, because the new agent is
-// already serving and the snippet should follow promptly.
+// DefaultMovedRetryAfter is the retry hint attached to MOVED responses and
+// close frames: short, because the new agent is already serving and the
+// snippet should follow promptly.
 const DefaultMovedRetryAfter = 50 * time.Millisecond
 
 // handoverAttempts is how many times the sender retries each handshake
@@ -57,15 +57,8 @@ const quiesceTimeout = 5 * time.Second
 func (a *Agent) movedResponse() *httpwire.Response {
 	resp := closeResponse(CloseMoved)
 	resp.Header.Set(RelocateHeader, a.relocatedTo)
-	resp.Header.Set(RetryAfterHeader, strconv.FormatInt(a.movedRetryAfter().Milliseconds(), 10))
+	resp.Header.Set(RetryAfterHeader, strconv.FormatInt(DefaultMovedRetryAfter.Milliseconds(), 10))
 	return resp
-}
-
-func (a *Agent) movedRetryAfter() time.Duration {
-	if a.MovedRetryAfter > 0 {
-		return a.MovedRetryAfter
-	}
-	return DefaultMovedRetryAfter
 }
 
 // RelocatedTo reports the address this agent's session moved to ("" while
@@ -197,16 +190,16 @@ func (a *Agent) HandoverTo(client *httpwire.Client, addr string) error {
 	}
 	token := string(tokenResp)
 
-	// Step 2: quiesce. Pin the ladder at ShedInterval so no new long-poll
-	// parks, then wake and drain the parked ones. Polls answered during
-	// this window carry the shed retry-after, degrading the fleet to
-	// interval mode for the transfer.
-	a.forceShed(ShedInterval)
+	// Step 2: quiesce. Hold new long-poll parks and channel upgrades off,
+	// then wake and drain the parked polls. Polls answered during this
+	// window carry the shed retry-after, degrading the fleet to interval
+	// mode for the transfer.
+	a.quiescing.Store(true)
 	a.hub.notifyAll()
 	drainDeadline := time.Now().Add(quiesceTimeout)
 	for a.ParkedPolls() > 0 {
 		if time.Now().After(drainDeadline) {
-			a.forceShed(ShedNone)
+			a.quiescing.Store(false)
 			return fmt.Errorf("rcb-agent: handover: %d polls still parked after %v", a.ParkedPolls(), quiesceTimeout)
 		}
 		time.Sleep(time.Millisecond)
@@ -217,15 +210,15 @@ func (a *Agent) HandoverTo(client *httpwire.Client, addr string) error {
 	// in-flight merges have drained (setRelocated waits out the barrier's
 	// readers), so the snapshot below is the session's final word.
 	a.setRelocated(addr)
-	// Persistent channels survive the quiesce (their writers shed only on
-	// the measured ladder, not the forced floor) precisely so this wake can
-	// deliver the MOVED close frame over the live channel — the framed
-	// analogue of the MOVED response every poll now receives.
+	// Persistent channels survive the quiesce (it holds off only new parks
+	// and upgrades) precisely so this wake can deliver the MOVED close
+	// frame over the live channel — the framed analogue of the MOVED
+	// response every poll now receives.
 	a.hub.notifyAll()
 	state, err := a.ExportState()
 	if err != nil {
 		a.setRelocated("")
-		a.forceShed(ShedNone)
+		a.quiescing.Store(false)
 		return fmt.Errorf("rcb-agent: handover export: %w", err)
 	}
 
@@ -235,7 +228,7 @@ func (a *Agent) HandoverTo(client *httpwire.Client, addr string) error {
 	fields := []httpwire.FormField{{Name: "token", Value: token}, {Name: "state", Value: string(state)}}
 	if _, err := a.handoverPost(client, addr, "/handover/state", fields); err != nil {
 		a.setRelocated("")
-		a.forceShed(ShedNone)
+		a.quiescing.Store(false)
 		return fmt.Errorf("rcb-agent: handover state sync: %w", err)
 	}
 
@@ -244,7 +237,7 @@ func (a *Agent) HandoverTo(client *httpwire.Client, addr string) error {
 		[]httpwire.FormField{{Name: "token", Value: token}}); err != nil {
 		return fmt.Errorf("rcb-agent: handover complete (state already transferred): %w", err)
 	}
-	a.forceShed(ShedNone)
+	a.quiescing.Store(false)
 	a.logf("rcb-agent: session handed over to %s", addr)
 	return nil
 }

@@ -247,7 +247,7 @@ func TestJoinsRefusedDuringHandover(t *testing.T) {
 // TestMovedRetryAfterFloorsDelay: the Rcb-Retry-After on a MOVED response
 // is adopted as the snippet's pacing floor before it follows the move.
 func TestMovedRetryAfterFloorsDelay(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.MovedRetryAfter = 123 * time.Millisecond })
+	w := newWorld(t, nil)
 	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
 	alice := w.join(t, "alice.lan")
 	if _, err := alice.PollOnce(); err != nil {
@@ -261,8 +261,8 @@ func TestMovedRetryAfterFloorsDelay(t *testing.T) {
 	if got := CloseReasonOf(err); got != CloseMoved {
 		t.Fatalf("reason %v (%v), want MOVED", got, err)
 	}
-	if got := alice.retryAfter; got < 123*time.Millisecond {
-		t.Fatalf("retryAfter after MOVED = %v, want ≥ 123ms (the advertised floor)", got)
+	if got := alice.retryAfter; got != DefaultMovedRetryAfter {
+		t.Fatalf("retryAfter after MOVED = %v, want %v (the advertised floor)", got, DefaultMovedRetryAfter)
 	}
 }
 

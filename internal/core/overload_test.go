@@ -332,77 +332,6 @@ func TestMaxParkedPollsCap(t *testing.T) {
 	}
 }
 
-// TestMaxParkAgeKicksStaleReader checks the parked-poll age bound: a poll
-// that parks the full MaxParkAge without any wake is completed with
-// STALE_READER and the participant is disconnected — retryable, so the
-// snippet marks itself for rejoin.
-func TestMaxParkAgeKicksStaleReader(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.MaxParkAge = 100 * time.Millisecond })
-	w.hostNavigate(t, "http://"+sites.Table1[1].Host()+"/")
-	s := longPollJoin(t, w, "aged.lan", 10*time.Second)
-
-	start := time.Now()
-	_, err := s.PollOnce()
-	took := time.Since(start)
-	if err == nil {
-		t.Fatal("aged-out park returned no error")
-	}
-	if got := CloseReasonOf(err); got != CloseStaleReader {
-		t.Fatalf("aged-out park reason = %v (%v), want STALE_READER", got, err)
-	}
-	if took >= 5*time.Second {
-		t.Fatalf("park aged out at %v, want ~MaxParkAge", took)
-	}
-	if got := w.agent.StaleKicks(); got != 1 {
-		t.Fatalf("StaleKicks = %d, want 1", got)
-	}
-	if len(w.agent.Participants()) != 0 {
-		t.Fatal("stale reader not disconnected")
-	}
-	if !s.RejoinNeeded() {
-		t.Fatal("retryable STALE_READER did not mark the snippet for rejoin")
-	}
-}
-
-// TestMaxAckLagReapsSlowReader checks the build-rotation reaper: a reader
-// whose acknowledged docTime falls more than MaxAckLag builds behind is
-// disconnected as STALE_READER while up-to-date readers are untouched.
-func TestMaxAckLagReapsSlowReader(t *testing.T) {
-	w := newWorld(t, func(a *Agent) { a.MaxAckLag = 2 })
-	w.hostNavigate(t, "http://"+sites.MapsHost+"/")
-	slow := w.join(t, "slow.lan")
-	fast := w.join(t, "fast.lan")
-	// Two polls each: the first fetches the snapshot (ts=0 — a reader that
-	// never acknowledged anything is exempt), the second acknowledges it.
-	for i := 0; i < 2; i++ {
-		if _, err := slow.PollOnce(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fast.PollOnce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Three further builds; only fast acknowledges them. The reaper runs at
-	// build rotation, measuring slow's ack against the build history.
-	for i := 0; i < 4; i++ {
-		mutateBody(t, w)
-		if _, err := fast.PollOnce(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := w.agent.StaleKicks(); got != 1 {
-		t.Fatalf("StaleKicks = %d, want 1 (the lagging reader)", got)
-	}
-	_, err := slow.PollOnce()
-	if got := CloseReasonOf(err); got != CloseStaleReader {
-		t.Fatalf("slow reader's poll reason = %v (%v), want STALE_READER", got, err)
-	}
-	if _, err := fast.PollOnce(); err != nil {
-		t.Fatalf("up-to-date reader was reaped too: %v", err)
-	}
-}
-
 // TestDuplicateActionsFiltered checks the (CID, CSeq) replay filter: the
 // same stamped action arriving twice — the push-then-piggyback replay the
 // at-least-once upstream produces — reaches the policy exactly once.

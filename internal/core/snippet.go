@@ -904,31 +904,6 @@ func (s *Snippet) resetMemo() {
 	})
 }
 
-// ApplyContent installs new document content into the participant browser,
-// following the four-step procedure of Figure 5:
-//
-//  1. clean up the head element, keeping only Ajax-Snippet itself;
-//  2. set the head element children from the new content;
-//  3. clean up top-level elements the new content obsoletes;
-//  4. set the remaining top-level elements from the new content.
-//
-// Afterwards the participant browser downloads the supplementary objects
-// referenced by the new content (unless FetchObjects is off).
-func (s *Snippet) ApplyContent(content *NewContent) error {
-	start := time.Now()
-	err := s.Browser.ApplyMutation(func(doc *dom.Document) error {
-		return s.memo.Apply(doc, content)
-	})
-	apply := time.Since(start)
-	if err != nil {
-		return fmt.Errorf("rcb-snippet: apply content: %w", err)
-	}
-	s.mu.Lock()
-	s.stats.LastApplyTime = apply
-	s.mu.Unlock()
-	return s.fetchContentObjects()
-}
-
 // fetchContentObjects downloads the supplementary objects the current
 // document references — the post-apply step shared by the full and delta
 // content paths. A no-op when FetchObjects is off.
@@ -961,10 +936,9 @@ func hostOf(u string) string { return browser.HostOf(u) }
 
 // ApplyContentToDocument is the pure DOM transformation of Figure 5,
 // exported for direct testing and for the experiment harness's M6
-// measurement. It always applies in full; the snippet's own polling loop
-// goes through ApplyMemo.Apply, which skips re-parsing unchanged payloads.
+// measurement. A fresh memo skips nothing, so this always applies in full.
 func ApplyContentToDocument(doc *dom.Document, content *NewContent) error {
-	return applyContent(doc, content, nil)
+	return new(ApplyMemo).Apply(doc, content)
 }
 
 // ApplyMemo remembers the payloads the last Apply installed into a
@@ -974,16 +948,14 @@ func ApplyContentToDocument(doc *dom.Document, content *NewContent) error {
 // memcmp, while re-installing one means a full HTML re-parse. The memo is
 // only valid while its document is mutated exclusively through it — the
 // snippet's situation — and invalidates itself when the document changes
-// identity (navigation).
+// identity (navigation). The zero value has applied nothing.
 type ApplyMemo struct {
 	doc *dom.Document
 	// headOK distinguishes "never applied" from "applied an empty head":
 	// the first pass must always run the head cleanup.
-	headOK   bool
-	head     []HeadChild
-	body     appliedTop
-	frameset appliedTop
-	noframes appliedTop
+	headOK bool
+	head   []HeadChild
+	tops   [len(regions)]appliedTop
 }
 
 // appliedTop records the last applied innerHTML payload of one top-level
@@ -993,91 +965,71 @@ type appliedTop struct {
 	ok    bool
 }
 
-// Apply installs content into doc, reusing the existing DOM wherever the
-// new payload is identical to what this memo previously applied.
+// Apply installs content into doc, following the four-step procedure of
+// Figure 5:
+//
+//  1. clean up the head element, keeping only Ajax-Snippet itself;
+//  2. set the head element children from the new content;
+//  3. clean up top-level elements the new content obsoletes;
+//  4. set the remaining top-level elements from the new content.
+//
+// It reuses the existing DOM wherever the new payload is identical to what
+// this memo previously applied.
 func (m *ApplyMemo) Apply(doc *dom.Document, content *NewContent) error {
 	if m.doc != doc {
 		*m = ApplyMemo{doc: doc}
 	}
-	return applyContent(doc, content, m)
-}
-
-func applyContent(doc *dom.Document, content *NewContent, memo *ApplyMemo) error {
-	root := doc.Root
-	head := doc.Head()
-
 	// Steps 1 and 2: head cleanup and rebuild — skipped entirely when the
 	// new head children match what this memo last installed.
-	if memo == nil || !memo.headOK || !headChildrenEqual(memo.head, content.Head) {
-		rebuildHead(head, content.Head)
-		if memo != nil {
-			memo.head = append(memo.head[:0], content.Head...)
-			memo.headOK = true
-		}
+	if !m.headOK || !headChildrenEqual(m.head, content.Head) {
+		rebuildHead(doc.Head(), content.Head)
+		m.head = append(m.head[:0], content.Head...)
+		m.headOK = true
 	}
 
 	// Step 3: clean up obsolete top-level elements. "If the current
 	// document uses a body top-level element while the new content contains
 	// a new webpage with a frameset top-level element, Ajax-Snippet will
 	// remove the body node."
+	root := doc.Root
+	fields := content.regionFields()
 	for _, c := range root.ChildElements() {
-		switch c.Tag {
-		case "head":
-			continue
-		case "body":
-			if content.Body == nil {
-				root.RemoveChild(c)
-			}
-		case "frameset":
-			if content.FrameSet == nil {
-				root.RemoveChild(c)
-			}
-		case "noframes":
-			if content.NoFrames == nil {
-				root.RemoveChild(c)
-			}
-		default:
+		if i := regionIndex(c.Tag); c.Tag != "head" && (i < 0 || *fields[i] == nil) {
 			root.RemoveChild(c)
 		}
 	}
 
-	// Step 4: set the remaining top elements in content order. Attributes
-	// are always refreshed (cheap); the innerHTML re-parse is skipped when
-	// the payload is unchanged since the memo's last pass.
-	setTop := func(tag string, te *TopElement, last *appliedTop) {
-		if te == nil {
-			if last != nil {
-				*last = appliedTop{}
-			}
-			return
-		}
-		el := root.FirstChildElement(tag)
-		if el == nil {
-			el = dom.NewElement(tag)
-			root.AppendChild(el)
-			if last != nil {
-				*last = appliedTop{}
-			}
-		}
-		el.Attrs = append([]dom.Attr(nil), te.Attrs...)
-		if last != nil && last.ok && last.inner == te.Inner {
-			return
-		}
-		dom.SetInnerHTML(el, te.Inner)
-		if last != nil {
-			*last = appliedTop{inner: te.Inner, ok: true}
-		}
-	}
-	if memo != nil {
-		setTop("body", content.Body, &memo.body)
-		setTop("frameset", content.FrameSet, &memo.frameset)
-		setTop("noframes", content.NoFrames, &memo.noframes)
-	} else {
-		setTop("body", content.Body, nil)
-		setTop("frameset", content.FrameSet, nil)
-		setTop("noframes", content.NoFrames, nil)
+	// Step 4: set the remaining top elements in region order.
+	for i, te := range fields {
+		installRegion(root, regions[i].tag, *te, &m.tops[i])
 	}
 	return nil
+}
+
+// installRegion sets root's tag element from te: it finds or creates the
+// element, always refreshes its attributes (cheap), and re-parses the
+// innerHTML only when last records a different payload. last is updated to
+// what the element now holds; a nil te installs nothing and forgets it.
+// Both the snippet's full apply and the agent's delta bases
+// (participantTree) install through here, so a delta's patch paths resolve
+// on exactly the tree a participant holds.
+func installRegion(root *dom.Node, tag string, te *TopElement, last *appliedTop) {
+	if te == nil {
+		*last = appliedTop{}
+		return
+	}
+	el := root.FirstChildElement(tag)
+	if el == nil {
+		el = dom.NewElement(tag)
+		root.AppendChild(el)
+		*last = appliedTop{}
+	}
+	el.Attrs = append([]dom.Attr(nil), te.Attrs...)
+	if last.ok && last.inner == te.Inner {
+		return
+	}
+	dom.SetInnerHTML(el, te.Inner)
+	*last = appliedTop{inner: te.Inner, ok: true}
 }
 
 // rebuildHead runs Figure 5 steps 1 and 2 against a head element: clean up
@@ -1124,26 +1076,18 @@ func (m *ApplyMemo) ApplyDelta(doc *dom.Document, d *DeltaContent) error {
 		m.headOK = true
 	}
 	root := doc.Root
-	for _, region := range []struct {
-		tag     string
-		patches []dom.Patch
-		last    *appliedTop
-	}{
-		{"body", d.Body, &m.body},
-		{"frameset", d.FrameSet, &m.frameset},
-		{"noframes", d.NoFrames, &m.noframes},
-	} {
-		if len(region.patches) == 0 {
+	for i, patches := range d.patchFields() {
+		if len(*patches) == 0 {
 			continue
 		}
-		el := root.FirstChildElement(region.tag)
+		el := root.FirstChildElement(regions[i].tag)
 		if el == nil {
-			return fmt.Errorf("delta patches <%s> but the document has none", region.tag)
+			return fmt.Errorf("delta patches <%s> but the document has none", regions[i].tag)
 		}
 		// Invalidate before patching: a partial apply must never let a later
 		// identical-payload check skip the repair re-parse.
-		*region.last = appliedTop{}
-		if err := dom.Apply(el, region.patches); err != nil {
+		m.tops[i] = appliedTop{}
+		if err := dom.Apply(el, *patches); err != nil {
 			return err
 		}
 	}

@@ -142,6 +142,16 @@ var regions = [3]struct{ tag, full, patch string }{
 	{"noframes", "docNoFrames", "noframesPatch"},
 }
 
+// regionIndex returns tag's index in regions, or -1 for any other tag.
+func regionIndex(tag string) int {
+	for i, r := range regions {
+		if r.tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
 // regionFields returns the message's region fields in the order of regions.
 func (c *NewContent) regionFields() [3]**TopElement {
 	return [3]**TopElement{&c.Body, &c.FrameSet, &c.NoFrames}
@@ -275,9 +285,9 @@ func stripCDATA(s string) string {
 // then the remaining top-level children (body, or frameset plus noframes).
 func ContentFromDocument(root *dom.Node, docTime int64) *NewContent {
 	c := &NewContent{DocTime: docTime, HasDocument: true}
+	fields := c.regionFields()
 	for _, child := range root.ChildElements() {
-		switch child.Tag {
-		case "head":
+		if child.Tag == "head" {
 			for _, hc := range child.ChildElements() {
 				c.Head = append(c.Head, HeadChild{
 					Tag:   hc.Tag,
@@ -285,12 +295,8 @@ func ContentFromDocument(root *dom.Node, docTime int64) *NewContent {
 					Inner: dom.InnerHTML(hc),
 				})
 			}
-		case "body":
-			c.Body = &TopElement{Attrs: append([]dom.Attr(nil), child.Attrs...), Inner: dom.InnerHTML(child)}
-		case "frameset":
-			c.FrameSet = &TopElement{Attrs: append([]dom.Attr(nil), child.Attrs...), Inner: dom.InnerHTML(child)}
-		case "noframes":
-			c.NoFrames = &TopElement{Attrs: append([]dom.Attr(nil), child.Attrs...), Inner: dom.InnerHTML(child)}
+		} else if i := regionIndex(child.Tag); i >= 0 {
+			*fields[i] = &TopElement{Attrs: append([]dom.Attr(nil), child.Attrs...), Inner: dom.InnerHTML(child)}
 		}
 	}
 	return c
